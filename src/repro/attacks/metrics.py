@@ -121,7 +121,8 @@ def streamed_rank_curve(
 ) -> Tuple[RankCurve, CPAAttack]:
     """Acquire a campaign through :meth:`repro.runtime.Engine.
     stream_attack` and evaluate key-rank bounds at each checkpoint —
-    without ever materializing the trace matrix.
+    without ever materializing the trace matrix (the one-sensor case of
+    :func:`streamed_rank_curves`).
 
     Bit-identical to ``engine.collect(...)`` followed by
     :func:`rank_curve` with the same seed and checkpoints, at any
@@ -135,30 +136,18 @@ def streamed_rank_curve(
 
     Returns ``(curve, attack)`` so callers can keep accumulating.
     """
-    checkpoints = _validated_checkpoints(
-        [c - trace_offset for c in checkpoints], n_traces
-    )
-    true_last_round = expand_key(key)[10]
-    n_samples = acquisition.default_n_samples()
-    curve = RankCurve()
-
-    def on_checkpoint(done: int, acc) -> None:
-        point = evaluate_rank_point(acc, true_last_round, trace_offset + done)
-        curve.points.append(point)
-        if on_point is not None:
-            on_point(point)
-
-    attack = engine.stream_attack(
-        acquisition,
+    [(curve, attack)] = streamed_rank_curves(
+        engine,
+        [acquisition],
         n_traces,
         key=key,
-        consumer_factory=partial(CPAAttack, n_samples, sample_window),
-        seed=seed,
-        n_samples=n_samples,
-        chunk_size=chunk_size,
         checkpoints=checkpoints,
-        on_checkpoint=on_checkpoint,
-        consumer=attack,
+        seed=seed,
+        sample_window=sample_window,
+        chunk_size=chunk_size,
+        on_point=None if on_point is None else (lambda _i, point: on_point(point)),
+        consumers=None if attack is None else [attack],
+        trace_offset=trace_offset,
     )
     return curve, attack
 
@@ -174,22 +163,29 @@ def streamed_rank_curves(
     sample_window: Optional[Tuple[int, int]] = None,
     chunk_size: Optional[int] = None,
     on_point: Optional[Callable[[int, RankPoint], None]] = None,
+    consumers: Optional[Sequence[CPAAttack]] = None,
+    trace_offset: int = 0,
 ) -> List[Tuple[RankCurve, CPAAttack]]:
-    """Fan-out counterpart of :func:`streamed_rank_curve`: one rank
-    curve per sensor from a *single* victim campaign.
+    """One rank curve per sensor from a *single* victim campaign
+    streamed through :meth:`repro.runtime.Engine.stream_attack_many`.
 
-    ``acquisitions`` is whatever :meth:`repro.runtime.Engine.
-    stream_attack_many` accepts (a ``MultiSensorAcquisition`` or a
-    sequence of specs/harnesses sharing one kernel).  Each returned
-    ``(curve, attack)`` pair is bit-identical to
-    :func:`streamed_rank_curve` over that sensor alone with the same
-    seed — the shared AES+PDN pass is computed once per shard instead
-    of once per sensor.  ``on_point(sensor_index, point)`` fires per
-    sensor as each checkpoint folds.
+    ``acquisitions`` is whatever ``stream_attack_many`` accepts (a
+    ``MultiSensorAcquisition`` or a sequence of specs/harnesses sharing
+    one kernel).  Each returned ``(curve, attack)`` pair is
+    bit-identical to streaming that sensor alone with the same seed —
+    the shared AES+PDN pass is computed once per shard instead of once
+    per sensor.  ``on_point(sensor_index, point)`` fires per sensor as
+    each checkpoint folds.
+
+    Pass ``consumers`` (one attack per sensor, each holding
+    ``trace_offset`` traces) to extend an earlier campaign; checkpoints
+    then refer to the combined trace count.
     """
     from repro.traces.acquisition import MultiSensorAcquisition
 
-    checkpoints = _validated_checkpoints(checkpoints, n_traces)
+    checkpoints = _validated_checkpoints(
+        [c - trace_offset for c in checkpoints], n_traces
+    )
     true_last_round = expand_key(key)[10]
     if not isinstance(acquisitions, MultiSensorAcquisition):
         acquisitions = MultiSensorAcquisition(list(acquisitions))
@@ -197,7 +193,7 @@ def streamed_rank_curves(
     curves = [RankCurve() for _ in range(len(acquisitions))]
 
     def on_checkpoint(sensor_index: int, done: int, acc) -> None:
-        point = evaluate_rank_point(acc, true_last_round, done)
+        point = evaluate_rank_point(acc, true_last_round, trace_offset + done)
         curves[sensor_index].points.append(point)
         if on_point is not None:
             on_point(sensor_index, point)
@@ -212,6 +208,7 @@ def streamed_rank_curves(
         chunk_size=chunk_size,
         checkpoints=checkpoints,
         on_checkpoint=on_checkpoint,
+        consumers=consumers,
     )
     return list(zip(curves, attacks))
 

@@ -17,14 +17,12 @@ Built-in backends:
     fan-out sampling (the C sampler is bypassed), per-byte CPA
     accumulation.  Kept as the differential-testing oracle — every
     other backend must match it bit for bit on integer inputs.
-``numba``
-    ``fused`` plus a numba-JIT single-pass sensor loop
-    (:mod:`repro.backends.numba_backend`); available only where numba
-    imports, compiles and passes the bit-exactness self-test.
 
-The registry is capability-probing: a backend advertises whether it
-can actually run in this process (compiler present, numba importable,
-self-tests green), `available_backends()` reports only those, and
+A backend is the only kernel selector: :func:`repro.kernels.
+default_kernel_name` reports the kernel the active backend implies.
+The registry is capability-probing: a backend may advertise that it
+cannot run in this process (a missing dependency, a failed
+self-test), `available_backends()` reports only the runnable ones, and
 selecting an unavailable backend fails with the probe's reason instead
 of silently computing something else.  Bit-identity against ``numpy``
 is enforced by the differential suites in ``tests/test_backends.py``
@@ -70,8 +68,8 @@ class Backend:
     ``probe`` returns ``None`` when the backend can run in this
     process, or a human-readable reason string when it cannot.
     ``activate`` (optional) applies backend-specific process state —
-    registering its kernel, steering the fan-out sampler seam — and is
-    called by :func:`activate_backend` after the probe passes.
+    steering the fan-out sampler seam — and is called by
+    :func:`activate_backend` after the probe passes.
     """
 
     name: str
@@ -94,7 +92,7 @@ class Backend:
 def _activate_numpy() -> None:
     from repro.kernels import fanout
 
-    # Pure-numpy everywhere: bypass the compiled samplers too.
+    # Pure-numpy everywhere: bypass the compiled C sampler too.
     fanout.set_sampler_provider(lambda: None)
 
 
@@ -102,28 +100,6 @@ def _activate_fused() -> None:
     from repro.kernels import fanout
 
     fanout.set_sampler_provider(None)  # default: C sampler when built
-
-
-def _probe_numba() -> Optional[str]:
-    from repro.backends.numba_backend import numba_unavailable_reason
-
-    return numba_unavailable_reason()
-
-
-def _activate_numba() -> None:
-    from repro.backends.numba_backend import (
-        make_numba_kernel_type,
-        numba_sampler,
-    )
-    from repro.kernels import fanout
-    from repro.kernels.aes_trace import available_kernels, register_kernel
-    from repro.kernels._csampler import get_sampler as _get_csampler
-
-    if "numba" not in available_kernels():
-        register_kernel(make_numba_kernel_type())
-    fanout.set_sampler_provider(
-        lambda: numba_sampler() or _get_csampler()
-    )
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -181,14 +157,6 @@ _REGISTRY["numpy"] = Backend(
     kernel="reference",
     cpa_accumulate="per-byte",
     activate=_activate_numpy,
-)
-_REGISTRY["numba"] = Backend(
-    name="numba",
-    description="fused kernels with a numba-JIT sensor inner loop",
-    kernel="numba",
-    cpa_accumulate="batched",
-    probe=_probe_numba,
-    activate=_activate_numba,
 )
 _BUILTIN_BACKENDS = dict(_REGISTRY)
 
@@ -255,18 +223,13 @@ def activate_backend(name: str) -> str:
     """Make ``name`` the process-wide backend; returns the previous name.
 
     Applies the backend's process state: its acquisition kernel becomes
-    the default kernel (what ``kernel=None`` resolves to) and its
-    sampler choice steers the fan-out seam.  An explicit ``--kernel``
-    / ``set_default_kernel`` call afterwards still wins — the kernel
-    registry stays the finer-grained knob.
+    what ``kernel=None`` resolves to and its sampler choice steers the
+    fan-out seam.
     """
     backend = get_backend(name)
-    from repro.kernels.aes_trace import set_default_kernel
-
     previous = active_backend_name()
     if backend.activate is not None:
         backend.activate()
-    set_default_kernel(backend.kernel)
     _ACTIVE[0] = backend.name
     return previous
 

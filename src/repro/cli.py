@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     from repro.backends import all_backends, default_backend_name
-    from repro.kernels import available_kernels, default_kernel_name
 
     parser.add_argument(
         "--backend",
@@ -107,17 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
             "compute backend: acquisition kernel + sampler + CPA "
             f"accumulate engine (default: {default_backend_name()}, or "
             "the REPRO_BACKEND environment variable; 'numpy' is the "
-            "pure-numpy differential oracle)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=available_kernels(),
-        default=None,
-        help=(
-            "acquisition kernel for trace generation "
-            f"(default: {default_kernel_name()}; 'reference' is the "
-            "unfused oracle path; overrides the backend's kernel)"
+            "pure-numpy differential oracle with the unfused reference "
+            "kernel)"
         ),
     )
     parser.add_argument(
@@ -999,7 +989,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from repro.errors import ReproError
     from repro.experiments import registry
-    from repro.kernels import set_default_kernel
 
     known = registry.names()
     try:
@@ -1014,11 +1003,6 @@ def main(argv=None) -> int:
             from repro.backends import get_backend
 
             get_backend(None)
-        if args.kernel is not None:
-            # Experiments build their own acquisition harnesses; steering
-            # the process default is how the flag reaches all of them.
-            # Applied after the backend so an explicit --kernel wins.
-            set_default_kernel(args.kernel)
         if args.experiment == "list":
             for name in known:
                 print(name)

@@ -193,7 +193,7 @@ def _run_protocol(
     return run_defense_study(rng=np.random.default_rng(config.seed), **params)
 
 
-run = registry.protocol_entry("defense", run_defense_study)
+run = registry.protocol_entry("defense")
 
 
 def main() -> None:

@@ -142,7 +142,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Fig7Resu
     return run_fig7(rng=np.random.default_rng(config.seed), **params)
 
 
-run = registry.protocol_entry("fig7", run_fig7)
+run = registry.protocol_entry("fig7")
 
 
 def main() -> None:

@@ -146,7 +146,7 @@ def _run_protocol(
     return run_pdn_validation(**params)
 
 
-run = registry.protocol_entry("pdn-validation", run_pdn_validation)
+run = registry.protocol_entry("pdn-validation")
 
 
 def main() -> None:

@@ -89,33 +89,28 @@ def streamed_placement_curve(
     :func:`disclosure_curve`: same campaign (same shard plan and random
     streams, so bit-identical ranks), but the traces flow straight into
     the CPA accumulator and the rank curve grows incrementally — the
-    full trace matrix never exists.
+    full trace matrix never exists.  The one-placement case of
+    :func:`streamed_placement_curves`.
 
     Returns ``(RankCurve, CPAAttack)``; pass the attack back (with
     ``trace_offset``) to extend the campaign, Fig. 6 style.
     """
-    from repro.attacks.metrics import streamed_rank_curve
-
-    acq = placement_acquisition(placement, sensor_type, aes_clock, seed)
-    hw = common.make_hw_model(aes_clock)
-    window = common.last_round_window(hw, acq.default_n_samples())
-    total = trace_offset + n_traces
-    checkpoints = [
-        cp for cp in range(step, total + 1, step) if cp > trace_offset
-    ]
-    return streamed_rank_curve(
+    [pair] = streamed_placement_curves(
         engine,
-        acq,
+        [placement],
         n_traces,
-        key=key,
-        checkpoints=checkpoints,
-        seed=rng,
-        sample_window=window,
+        step,
+        sensor_type,
+        aes_clock,
+        key,
+        seed=seed,
+        rng=rng,
         chunk_size=chunk_size,
-        on_point=on_point,
-        attack=attack,
+        on_point=None if on_point is None else (lambda _i, point: on_point(point)),
+        attacks=None if attack is None else [attack],
         trace_offset=trace_offset,
     )
+    return pair
 
 
 def streamed_placement_curves(
@@ -130,17 +125,20 @@ def streamed_placement_curves(
     rng: RngLike = 3,
     chunk_size: Optional[int] = None,
     on_point=None,
+    attacks=None,
+    trace_offset: int = 0,
 ):
-    """Fan-out equivalent of one :func:`streamed_placement_curve` per
-    placement: every placement's sensor observes the *same* victim
-    campaign, so the AES+PDN work is paid once per shard instead of
-    once per placement.
+    """One streamed rank curve per placement from a *single* victim
+    campaign: every placement's sensor observes the same encryptions,
+    so the AES+PDN work is paid once per shard instead of once per
+    placement.
 
     Each returned ``(RankCurve, CPAAttack)`` pair is bit-identical to
-    :func:`streamed_placement_curve` over that placement alone with the
-    same ``rng`` — the :meth:`~repro.kernels.AcquisitionKernel.
-    acquire_many` contract.  ``on_point(placement_index, point)`` feeds
-    incremental rank progress per placement.
+    streaming that placement alone with the same ``rng`` — the
+    :meth:`~repro.kernels.AcquisitionKernel.acquire_many` contract.
+    ``on_point(placement_index, point)`` feeds incremental rank
+    progress per placement; ``attacks`` (with ``trace_offset``)
+    extends an earlier campaign.
     """
     from repro.attacks.metrics import streamed_rank_curves
     from repro.traces.acquisition import MultiSensorAcquisition
@@ -150,7 +148,10 @@ def streamed_placement_curves(
     )
     hw = common.make_hw_model(aes_clock)
     window = common.last_round_window(hw, acqs.default_n_samples())
-    checkpoints = list(range(step, n_traces + 1, step))
+    total = trace_offset + n_traces
+    checkpoints = [
+        cp for cp in range(step, total + 1, step) if cp > trace_offset
+    ]
     return streamed_rank_curves(
         engine,
         acqs,
@@ -161,6 +162,8 @@ def streamed_placement_curves(
         sample_window=window,
         chunk_size=chunk_size,
         on_point=on_point,
+        consumers=attacks,
+        trace_offset=trace_offset,
     )
 
 
@@ -332,7 +335,7 @@ def _run_protocol(config: registry.ExperimentConfig, engine: Engine) -> Table1Re
     return run_table1(rng=np.random.SeedSequence(config.seed), engine=engine, **params)
 
 
-run = registry.protocol_entry("table1", run_table1)
+run = registry.protocol_entry("table1")
 
 
 def main() -> None:

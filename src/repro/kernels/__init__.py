@@ -8,13 +8,9 @@ that amortises one AES+PDN pass across N sensors
 (:mod:`repro.kernels.fanout`, with an optional self-tested C inner loop
 in :mod:`repro.kernels._csampler`), the precomputed PDN step-response
 basis the fused kernel multiplies against (:mod:`repro.kernels.basis`),
-and the structured per-stage cost accounting that replaced the ad-hoc
-``timings`` dicts (:mod:`repro.kernels.profile`).
-
-Third-party compute backends plug in through
-:func:`~repro.kernels.aes_trace.register_kernel`; anything registered
-is addressable wherever a ``kernel=`` argument or ``--kernel`` flag is
-accepted.
+and the structured per-stage cost accounting
+(:mod:`repro.kernels.profile`).  Which kernel ``kernel=None`` resolves
+to follows the active compute backend (:mod:`repro.backends`).
 """
 
 from repro.kernels.aes_trace import (
@@ -25,9 +21,6 @@ from repro.kernels.aes_trace import (
     available_kernels,
     default_kernel_name,
     get_kernel,
-    register_kernel,
-    set_default_kernel,
-    unregister_kernel,
 )
 from repro.kernels.basis import StepResponseBasis, step_response_basis, unit_boxcars
 from repro.kernels.profile import StageAccount, StageProfile, StageStats
@@ -44,9 +37,6 @@ __all__ = [
     "available_kernels",
     "default_kernel_name",
     "get_kernel",
-    "register_kernel",
-    "set_default_kernel",
     "step_response_basis",
     "unit_boxcars",
-    "unregister_kernel",
 ]

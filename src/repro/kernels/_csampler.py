@@ -22,9 +22,9 @@ The extension is strictly optional and strictly an accelerator:
 * ``REPRO_CSAMPLER=0`` disables it outright (``1``/``auto``/unset try
   to build).
 
-The C loop replicates, operation for operation, the arithmetic of
-``FusedAcquisitionKernel._sample_normal`` applied to ``flat + offset +
-noise`` — see :mod:`repro.kernels.fanout` for the contract.
+The C loop replicates, operation for operation, the arithmetic of the
+numpy oracle ``repro.kernels.fanout._sample_numpy`` — see
+:mod:`repro.kernels.fanout` for the contract.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class _Interp:
 
 
 def _self_test(sampler: CSampler) -> bool:
-    """Compare the library against a numpy replica of the single-sensor
+    """Compare the library against a numpy replica of the sampling
     operation sequence on inputs that hit every clamp branch."""
     mu0 = np.array([3.0, 7.5, 12.25, 40.0, 55.5])
     sg0 = np.array([0.5, 1.25, 1e-12, 2.0, 3.5])

@@ -14,12 +14,12 @@ switching currents -> PDN low-pass -> sensor sampling):
     step-response basis (:mod:`repro.kernels.basis`) instead of
     filtering an ``(m, n_samples)`` matrix — the dense current matrix
     is never materialized;
-  - the moments-table lookup exploits the table's *uniform* grid: one
-    shared index/fraction computation replaces two binary-searching
-    ``numpy.interp`` passes;
-  - the readout draw is one ``standard_normal`` fill plus two fused
-    in-place passes (bit-identical to ``Generator.normal(mu, sigma)``,
-    which computes ``loc + scale * z`` elementwise).
+  - every acquisition is a fan-out over N >= 1 sensors
+    (:meth:`FusedAcquisitionKernel.acquire_many`; ``acquire`` is the
+    N=1 case): the AES stage, the noise fill and the quantisation draws
+    are computed once, and each sensor is sampled in a single pass by
+    :func:`repro.kernels.fanout.sample_sensor` (the C sampler when it
+    built, else its numpy oracle) off a uniform-grid moments lookup.
 
 Both kernels consume the *identical* RNG stream (same draws, same
 order), so for a fixed seed they differ only by floating-point
@@ -37,13 +37,12 @@ worker).
 from __future__ import annotations
 
 import abc
-import os
 import weakref
 from typing import ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.sensor import SamplingMethod, check_table_range
+from repro.core.sensor import SamplingMethod
 from repro.errors import ConfigurationError
 from repro.kernels import fanout
 from repro.kernels.basis import step_response_basis
@@ -58,14 +57,6 @@ LEAD_IN_CYCLES = 1
 #: Floor applied to the interpolated readout sigma (matches the
 #: reference ``sample_readouts`` floor).
 SIGMA_FLOOR = 1e-9
-
-#: Elements per tile in the fused sensor stage.  The stage is ~15
-#: elementwise passes; run whole-array they stream ~190 MB through DRAM
-#: per 4096-trace block, tiled at 64k elements (512 kB) the working set
-#: stays cache-resident and each array crosses DRAM once.  Tiling is
-#: value-exact: every op is elementwise, so the tile split does not
-#: change a single float.
-SENSOR_TILE = 1 << 16
 
 
 class AcquisitionKernel(abc.ABC):
@@ -117,10 +108,11 @@ class AcquisitionKernel(abc.ABC):
         without being computed; at least one index must remain, or the
         generator is left untouched.
 
-        This generic fallback replays the block per acquisition by
-        saving and restoring the bit-generator state — correct for any
-        kernel, with no shared-pass savings.  Subclasses may override
-        with a fused implementation.
+        This generic version (the reference kernel's) replays the block
+        per acquisition by saving and restoring the bit-generator state
+        — correct for any kernel, with no shared-pass savings.  The
+        fused kernel overrides it with the shared pass and derives
+        ``acquire`` from it.
         """
         skip = frozenset(skip)
         results: list = [None] * len(acquisitions)
@@ -245,27 +237,21 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         return {}
 
     def __setstate__(self, state: dict) -> None:
-        self._weights = {}
-        self._scratch_size = -1
-        self._scratch = {}
-        self._fanout_scratch = {}
+        self.__init__()
 
     def _workspace(self, size: int) -> Dict[str, np.ndarray]:
         """Per-process scratch arrays for one flattened block.
 
-        The big temporaries of the sensor stage (~6 MB each at the
-        default block shape) are reused across blocks, so the steady
-        state allocates nothing but the returned readouts.  Not
-        thread-safe — the engine parallelizes across processes.
+        The big temporaries (~6 MB each at the default block shape) are
+        reused across blocks, so the steady state allocates nothing but
+        the returned readouts.  Not thread-safe — the engine
+        parallelizes across processes.
         """
         if self._scratch_size != size:
-            tile = min(size, SENSOR_TILE)
             self._scratch = {
                 "volts": np.empty(size),
                 "noise": np.empty(size),
                 "draw": np.empty(size),
-                "pos": np.empty(tile),
-                "idx": np.empty(tile, dtype=np.intp),
             }
             self._scratch_size = size
         return self._scratch
@@ -308,139 +294,25 @@ class FusedAcquisitionKernel(AcquisitionKernel):
         n_samples: int,
         profile: Optional[StageProfile] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        profile = profile if profile is not None else StageProfile()
-        m = plaintexts.shape[0]
-        sensor = acquisition.sensor
-        sensor_pos = sensor.require_position()
-        kappa = acquisition.coupling.kappa(sensor_pos, acquisition.aes_position)
+        """One sensor is the fan-out with N=1."""
+        return self.acquire_many(
+            [acquisition], aes, plaintexts, rng, n_samples, profile=profile
+        )[0]
 
-        with profile.stage("aes", items=m) as acct:
-            hd, cts = _aes_stage(acquisition.hw_model, aes, plaintexts, profile, acct)
-
-        with profile.stage("pdn", items=m) as acct:
-            weights, offset = self._droop_weights(acquisition, kappa, n_samples)
-            ws = self._workspace(m * n_samples)
-            # (m, 11) @ (11, n_samples): the filtered droop of the whole
-            # block in one BLAS call; the dense current matrix and the
-            # sequential recurrence are gone.
-            volts = ws["volts"].reshape(m, n_samples)
-            np.matmul(hd.astype(np.float64), weights, out=volts)
-            volts += offset
-            acct.account(volts)
-
-        with profile.stage("sensor", items=m) as acct:
-            self._add_noise(acquisition.noise, volts, rng, ws)
-            readouts = self._sample_normal(sensor, volts, rng, ws)
-            acct.account(readouts)
-        return readouts, cts
-
-    # ------------------------------------------------------------------
     @staticmethod
-    def _add_noise(noise, volts: np.ndarray, rng: np.random.Generator, ws) -> None:
-        """Add voltage noise in place, consuming the RNG exactly like
-        ``noise.sample(volts.size, rng)``.
-
-        The default campaign noise is white-only; that case is one
-        ``standard_normal`` fill of a reused buffer plus an in-place
-        scale/add (``Generator.normal(0, rms, n)`` computes ``rms * z``
-        elementwise, so the values are bit-identical).  Drift or burst
-        components fall back to the model's own sampler.
-        """
-        flat = volts.ravel()
-        if noise.drift_rms or noise.burst_rate:
-            flat += noise.sample(flat.size, rng)
-            return
-        if not noise.white_rms:
-            return
-        buf = ws["noise"]
-        rng.standard_normal(out=buf)
-        buf *= noise.white_rms
-        flat += buf
-
-    # ------------------------------------------------------------------
-    def _sample_normal(
-        self, sensor, volts: np.ndarray, rng: np.random.Generator, ws
-    ) -> np.ndarray:
-        """Moment-matched normal sampling, fused.
-
-        Semantically :meth:`VoltageSensor.sample_readouts` with
-        ``method="normal"`` — same moments table, same range guard, same
-        RNG consumption — but the two ``numpy.interp`` binary searches
-        are replaced by one shared uniform-grid index computation, and
-        the parameterized normal draw by a single ``standard_normal``
-        fill plus in-place scale/shift.
-        """
-        flat = volts.ravel()
-        interp = _table_interpolant(sensor)
-        check_table_range(sensor, flat, interp.table[0])
-
-        # One RNG fill for the whole block, up front: the reference
-        # draws all its readout gaussians in one call, and a sequential
-        # fill is the same stream.
-        full_draw = ws["draw"]
-        rng.standard_normal(out=full_draw)
-        out = np.empty(flat.size, dtype=np.int16)
-
-        for start in range(0, flat.size, SENSOR_TILE):
-            stop = min(start + SENSOR_TILE, flat.size)
-            n = stop - start
-            pos = np.subtract(flat[start:stop], interp.lo, out=ws["pos"][:n])
-            pos *= interp.inv_step
-            # The range guard proved pos >= 0, so the truncating cast
-            # is a floor, and only the table's top edge needs clamping
-            # (where numpy.interp saturates).
-            idx = ws["idx"][:n]
-            np.copyto(idx, pos, casting="unsafe")
-            np.minimum(idx, interp.last_cell, out=idx)
-            frac = pos
-            frac -= idx
-            np.minimum(frac, 1.0, out=frac)
-
-            mu = interp.dmu[idx]
-            mu *= frac
-            mu += interp.mu[idx]
-            sigma = interp.dsigma[idx]
-            sigma *= frac
-            sigma += interp.sigma[idx]
-            np.maximum(sigma, SIGMA_FLOOR, out=sigma)
-
-            draw = full_draw[start:stop]
-            draw *= sigma
-            draw += mu
-            np.rint(draw, out=draw)
-            np.clip(draw, 0, sensor.output_width, out=draw)
-            np.copyto(out[start:stop], draw, casting="unsafe")
-        return out.reshape(volts.shape)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fanout_shareable(acquisitions) -> bool:
+    def _shareable(acquisitions) -> bool:
         """Whether one shared AES+noise+draw pass serves every
-        acquisition bit-exactly.
-
-        Requires value-equal hardware and noise models (sensors,
-        couplings and AES positions are free to differ — they only feed
-        the per-sensor droop), and white-only noise: drift and burst
-        terms route through ``NoiseModel.sample`` whose consumption is
-        not a single reusable ``standard_normal`` fill.
-        """
+        acquisition bit-exactly: value-equal hardware and noise models
+        (sensors, couplings and AES positions are free to differ — they
+        only feed the per-sensor droop)."""
         first = acquisitions[0]
-        if first.noise.drift_rms or first.noise.burst_rate:
-            return False
         hw_token = first.hw_model.cache_token()
         noise_token = first.noise.cache_token()
-        for acquisition in acquisitions[1:]:
-            if (
-                acquisition.hw_model is not first.hw_model
-                and acquisition.hw_model.cache_token() != hw_token
-            ):
-                return False
-            if (
-                acquisition.noise is not first.noise
-                and acquisition.noise.cache_token() != noise_token
-            ):
-                return False
-        return True
+        return all(
+            (acq.hw_model is first.hw_model or acq.hw_model.cache_token() == hw_token)
+            and (acq.noise is first.noise or acq.noise.cache_token() == noise_token)
+            for acq in acquisitions[1:]
+        )
 
     def acquire_many(
         self,
@@ -454,61 +326,80 @@ class FusedAcquisitionKernel(AcquisitionKernel):
     ) -> list:
         """Shared-pass fan-out (see the base method for the contract).
 
-        The AES stage, the white-noise fill and the quantisation draws
-        are computed once for the whole fan-out; each sensor then pays
-        only its own droop matmul and a single-pass sampling loop
-        (:mod:`repro.kernels.fanout`).  At N=8 placements on the
-        default campaign this is ~5x the cost of one acquire instead
-        of 8x.  Returned tuples share one ciphertext array.
+        The AES stage, the voltage-noise fill and the quantisation
+        draws are computed once for the whole fan-out; each sensor then
+        pays only its own droop matmul and a single-pass sampling loop
+        (:func:`repro.kernels.fanout.sample_sensor`).  At N=8
+        placements on the default campaign this is ~5x the cost of one
+        sensor instead of 8x.  Returned tuples share one ciphertext
+        array.
 
-        Falls back to the generic replay when the acquisitions cannot
-        share a pass (mixed hardware/noise models, drift or burst
-        noise).
+        Acquisitions that cannot share a pass (mixed hardware or noise
+        models) each get their own pass from the entry RNG state.
         """
         skip = frozenset(skip)
-        live = len(acquisitions) - len(skip & set(range(len(acquisitions))))
-        if live <= 0 or len(acquisitions) == 1 or not self._fanout_shareable(
-            acquisitions
-        ):
-            return super().acquire_many(
-                acquisitions, aes, plaintexts, rng, n_samples,
-                profile=profile, skip=skip,
-            )
+        live = [i for i in range(len(acquisitions)) if i not in skip]
+        results: list = [None] * len(acquisitions)
+        if not live:
+            return results
         profile = profile if profile is not None else StageProfile()
+        if self._shareable([acquisitions[i] for i in live]):
+            groups = [live]
+        else:
+            groups = [[i] for i in live]
+        state = rng.bit_generator.state
+        for group in groups:
+            rng.bit_generator.state = state
+            self._shared_pass(
+                acquisitions, group, aes, plaintexts, rng, n_samples,
+                profile, results,
+            )
+        return results
+
+    def _shared_pass(
+        self, acquisitions, indices, aes, plaintexts, rng, n_samples,
+        profile, results,
+    ) -> None:
+        """One AES+noise+draw pass sampled by ``acquisitions[indices]``,
+        consuming the RNG exactly like the reference kernel: the
+        voltage noise first, then one Gaussian draw per readout."""
         m = plaintexts.shape[0]
         size = m * n_samples
-        first = acquisitions[0]
+        first = acquisitions[indices[0]]
 
         with profile.stage("aes", items=m) as acct:
             hd, cts = _aes_stage(first.hw_model, aes, plaintexts, profile, acct)
         hdf = hd.astype(np.float64)
 
-        # Shared RNG consumption, in single-acquire order: white-noise
-        # fill (skipped when the model is silent, exactly like
-        # ``_add_noise``), then the quantisation draws.
         ws = self._workspace(size)
-        noise_buf = ws["noise"]
-        if first.noise.white_rms:
-            rng.standard_normal(out=noise_buf)
-            noise_buf *= first.noise.white_rms
-        else:
-            noise_buf[:] = 0.0
-        draw_buf = ws["draw"]
-        rng.standard_normal(out=draw_buf)
+        noise_buf, draw_buf, volts = ws["noise"], ws["draw"], ws["volts"]
+        with profile.stage("sensor"):
+            noise = first.noise
+            if noise.drift_rms or noise.burst_rate:
+                noise_buf[:] = noise.sample(size, rng)
+            elif noise.white_rms:
+                # Generator.normal(0, rms, n) computes rms * z
+                # elementwise, so this is bit-identical to
+                # noise.sample() without the temporary.
+                rng.standard_normal(out=noise_buf)
+                noise_buf *= noise.white_rms
+            else:
+                noise_buf[:] = 0.0
+            rng.standard_normal(out=draw_buf)
 
         if not self._fanout_scratch:
             self._fanout_scratch = fanout.make_scratch()
-        results: list = [None] * len(acquisitions)
-        volts = ws["volts"]
-        for index, acquisition in enumerate(acquisitions):
-            if index in skip:
-                continue
+        for index in indices:
+            acquisition = acquisitions[index]
             sensor = acquisition.sensor
             kappa = acquisition.coupling.kappa(
                 sensor.require_position(), acquisition.aes_position
             )
             with profile.stage("pdn", items=m) as acct:
                 weights, offset = self._droop_weights(acquisition, kappa, n_samples)
+                # (m, 11) @ (11, n_samples): the filtered droop of the
+                # whole block in one BLAS call; the dense current
+                # matrix and the sequential recurrence are gone.
                 np.matmul(hdf, weights, out=volts.reshape(m, n_samples))
                 acct.account(volts)
             with profile.stage("sensor", items=m) as acct:
@@ -526,7 +417,6 @@ class FusedAcquisitionKernel(AcquisitionKernel):
                 )
                 acct.account(out)
             results[index] = (out.reshape(m, n_samples), cts)
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -539,24 +429,6 @@ _KERNEL_TYPES: Dict[str, type] = {
 }
 _INSTANCES: Dict[str, AcquisitionKernel] = {}
 
-#: Kernel each built-in compute backend (``REPRO_BACKEND``) implies at
-#: import time.  The ``numba`` backend starts on the fused kernel and
-#: upgrades to its JIT kernel when :func:`repro.backends.
-#: activate_backend` registers it (it cannot be probed this early).
-_ENV_BACKEND_KERNELS = {
-    "numpy": ReferenceAcquisitionKernel.name,
-    "fused": FusedAcquisitionKernel.name,
-    "numba": FusedAcquisitionKernel.name,
-}
-
-#: Process-wide default kernel name; overridable via the
-#: ``REPRO_KERNEL`` environment variable (which wins over the
-#: ``REPRO_BACKEND`` mapping) or :func:`set_default_kernel` (the CLI's
-#: ``--kernel`` / ``--backend`` flags).
-_DEFAULT_KERNEL = os.environ.get("REPRO_KERNEL") or _ENV_BACKEND_KERNELS.get(
-    os.environ.get("REPRO_BACKEND", ""), FusedAcquisitionKernel.name
-)
-
 
 def available_kernels() -> Tuple[str, ...]:
     """Registered kernel names, sorted."""
@@ -564,32 +436,23 @@ def available_kernels() -> Tuple[str, ...]:
 
 
 def default_kernel_name() -> str:
-    """The name new acquisition harnesses resolve ``kernel=None`` to."""
-    return _DEFAULT_KERNEL
+    """The kernel ``kernel=None`` resolves to: the one the active
+    compute backend (``--backend`` / ``REPRO_BACKEND``) implies."""
+    from repro.backends import active_backend
 
-
-def set_default_kernel(name: str) -> str:
-    """Set the process-wide default kernel; returns the previous name."""
-    global _DEFAULT_KERNEL
-    if name not in _KERNEL_TYPES:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; available: {', '.join(available_kernels())}"
-        )
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = name
-    return previous
+    return active_backend().kernel
 
 
 def get_kernel(kernel=None) -> AcquisitionKernel:
     """Resolve a kernel argument to a (shared) kernel instance.
 
-    Accepts ``None`` (the process default), a registered name, or an
-    :class:`AcquisitionKernel` instance (returned unchanged).
+    Accepts ``None`` (the active backend's kernel), a registered name,
+    or an :class:`AcquisitionKernel` instance (returned unchanged).
     """
     if isinstance(kernel, AcquisitionKernel):
         return kernel
     if kernel is None:
-        kernel = _DEFAULT_KERNEL
+        kernel = default_kernel_name()
     try:
         kernel_type = _KERNEL_TYPES[kernel]
     except (KeyError, TypeError):
@@ -600,53 +463,3 @@ def get_kernel(kernel=None) -> AcquisitionKernel:
     if instance is None:
         instance = _INSTANCES[kernel] = kernel_type()
     return instance
-
-
-_BUILTIN_KERNELS = frozenset(_KERNEL_TYPES)
-
-
-def register_kernel(kernel_type: type, *, replace: bool = False) -> str:
-    """Register an :class:`AcquisitionKernel` subclass as a compute
-    backend, under its class-level ``name``.
-
-    This is the extension seam for alternative backends (a numba or
-    cupy kernel, an instrumented wrapper): once registered, the name is
-    accepted everywhere a ``kernel=`` argument is — acquisition specs,
-    ``get_kernel``, ``set_default_kernel``, the CLI's ``--kernel``
-    flag.  Backends must honour the bit-exactness contract of
-    :meth:`AcquisitionKernel.acquire` (and ``acquire_many``'s RNG
-    contract, or inherit the generic fallback).  Returns the registered
-    name.
-    """
-    if not (isinstance(kernel_type, type) and issubclass(kernel_type, AcquisitionKernel)):
-        raise ConfigurationError(
-            "register_kernel expects an AcquisitionKernel subclass"
-        )
-    name = kernel_type.name
-    if not name:
-        raise ConfigurationError(
-            f"{kernel_type.__name__} needs a non-empty class-level 'name'"
-        )
-    if name in _BUILTIN_KERNELS:
-        raise ConfigurationError(f"kernel name {name!r} is reserved (built-in)")
-    if name in _KERNEL_TYPES and not replace:
-        raise ConfigurationError(
-            f"kernel {name!r} is already registered (pass replace=True)"
-        )
-    _KERNEL_TYPES[name] = kernel_type
-    _INSTANCES.pop(name, None)
-    return name
-
-
-def unregister_kernel(name: str) -> None:
-    """Remove a backend registered via :func:`register_kernel`."""
-    if name in _BUILTIN_KERNELS:
-        raise ConfigurationError(f"cannot unregister built-in kernel {name!r}")
-    if name not in _KERNEL_TYPES:
-        raise ConfigurationError(f"unknown kernel {name!r}")
-    if name == _DEFAULT_KERNEL:
-        raise ConfigurationError(
-            f"kernel {name!r} is the process default; set another default first"
-        )
-    del _KERNEL_TYPES[name]
-    _INSTANCES.pop(name, None)

@@ -6,30 +6,25 @@ white-noise fill and the Gaussian quantisation draws (each sensor in a
 real fan-out campaign sees the same victim and the same acquisition
 RNG stream).  ``FusedAcquisitionKernel.acquire_many`` therefore runs
 that shared prefix once and calls :func:`sample_sensor` per sensor with
-the sensor's own droop block.
+the sensor's own droop block.  A single-sensor acquisition is the same
+path with N=1.
 
 Bit-exactness contract
 ----------------------
 
-``sample_sensor`` must produce, readout for readout, the same int16
-values as the single-sensor fused path:
+``sample_sensor`` computes, per readout, ``t = (flat + offset) +
+noise``, the uniform-grid moments lookup at ``t`` (cell clamped to the
+table's top edge, fraction clamped to 1), the double-rounded linear
+interpolation (``dmu[ix]*frac + mu0[ix]`` as two roundings, never an
+FMA), ``draw * sigma + mu`` with sigma floored, and the half-even
+``rint`` quantisation clipped to the sensor's output range.  Two
+implementations honour the contract: a single-pass C loop
+(:mod:`repro.kernels._csampler`, used when it compiled and
+self-tested) and the tiled numpy oracle :func:`_sample_numpy`.
 
-    volts = flat + offset          # pdn stage tail
-    volts += noise                 # _add_noise (white term)
-    readouts = _sample_normal(sensor, volts, draws)
-
-with the same double-rounded linear interpolation (``dmu[ix]*frac +
-mu0[ix]`` as two roundings, never an FMA) and the same half-even
-``rint`` quantisation.  Two implementations honour the contract: a
-single-pass C loop (:mod:`repro.kernels._csampler`, used when it
-compiled and self-tested) and a tiled numpy fallback whose operation
-order was validated element-exact against the single-sensor kernel.
-
-The out-of-range check is deferred: the single-sensor path rejects a
-block *before* sampling, the fan-out path samples first and raises the
-same :class:`~repro.errors.SensorRangeError` (same message — it is
-formatted from the block's minimum voltage) afterwards.  Only the
-error path differs in timing; successful blocks are bit-identical.
+The out-of-range check runs after sampling: a block that dips below
+the moments table raises :class:`~repro.errors.SensorRangeError`,
+formatted from the block's minimum voltage.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ def make_scratch(tile: int = FANOUT_TILE) -> Dict[str, np.ndarray]:
 
 #: Pluggable sampler provider (``None`` -> the default C sampler
 #: resolution).  :func:`repro.backends.activate_backend` points this at
-#: the numba sampler or at "nothing" (pure-numpy reference backend).
+#: "nothing" for the pure-numpy reference backend.
 _SAMPLER_PROVIDER = None
 
 
@@ -97,7 +92,7 @@ def sample_sensor(
     ``flat`` is the sensor's matmul output (droop without offset),
     ``noise``/``draw`` are the campaign's shared RNG fills, ``out`` is
     the sensor's flat int16 destination.  Raises ``SensorRangeError``
-    exactly when the single-sensor path would.
+    when the block dips below the sensor's moments table.
     """
     grid = interp.table[0]
     sampler = _active_sampler()

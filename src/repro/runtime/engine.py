@@ -37,9 +37,8 @@ import numpy as np
 
 from repro.analysis.streaming import iter_chunk_slices, validate_chunk_size
 from repro.backends.threads import pin_worker_threads
-from repro.config import RngLike
 from repro.core.sensor import VoltageSensor
-from repro.errors import ConfigurationError
+from repro.errors import CacheError, ConfigurationError
 from repro.kernels import StageProfile
 from repro.pdn.coupling import CouplingModel
 from repro.pdn.noise import NoiseModel
@@ -74,6 +73,7 @@ from repro.traces.acquisition import (
 from repro.traces.blockstore import (
     SCHEMA_VERSION,
     BlockStore,
+    CachedBlock,
     block_key,
     open_store,
     seed_lineage,
@@ -109,108 +109,189 @@ ProgressFn = Callable[[ProgressEvent], None]
 
 # ----------------------------------------------------------------------
 # Shard bodies — shared verbatim by the serial and pooled paths, which
-# is what makes worker count irrelevant to the output.  Each body first
-# offers its shard to the block store (when one is configured): a hit
-# replays the stored block through a read-only memory map, a miss
-# acquires live and publishes the block for every later campaign.
-# Cached blocks are bit-identical to live acquisition by construction
-# (same key => same config, same RNG lineage), so cache state can never
-# change a result — only its cost.
+# is what makes worker count irrelevant to the output.  There is one
+# body per campaign kind (collect, stream, characterize), and every
+# body covers N >= 1 sensors: a single-sensor campaign is the fan-out
+# with N=1.  For AES campaigns the kernel's ``acquire_many`` computes
+# the shared AES+PDN pass once and samples each sensor from it.
+#
+# Each body first offers its shard to the block store (when one is
+# configured), *per sensor*: each sub-block key is exactly the key of a
+# campaign over that one (sensor, placement) pair, so campaigns of any
+# width share cached blocks freely.  The shard's outcome is its tier:
+# ``"local"`` (every sensor served by the local tier), ``"remote"``
+# (every sensor served, at least one by a read-through from the remote
+# tier), ``"miss"`` (nothing cached) or ``"partial"`` (a fan-out shard
+# where only some sensors hit — the hit sensors are replayed and only
+# the missing ones acquired; skip semantics keep their draws
+# bit-identical).  A miss acquires live and publishes the block for
+# every later campaign.  Cached blocks are bit-identical to live
+# acquisition by construction (same key => same config, same RNG
+# lineage), so cache state can never change a result — only its cost.
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class _CacheIO:
+    """One shard's block-store traffic: its outcome (``""`` with the
+    cache off), bytes both ways, and — for fan-out shards (N > 1) —
+    the per-sensor sub-block split."""
+
+    outcome: str = ""
+    bytes_read: int = 0
+    bytes_written: int = 0
+    sub_hits: int = 0
+    sub_misses: int = 0
+
+
+def _lookup(
+    store: Optional[BlockStore],
+    keys: Optional[Sequence[str]],
+    n_sensors: int,
+    profile: StageProfile,
+    shard: Shard,
+) -> List[Optional[CachedBlock]]:
+    """Per-sensor block lookups (all ``None`` with the cache off)."""
+    if store is None:
+        return [None] * n_sensors
+    with profile.stage("cache", items=shard.size) as acct:
+        blocks = [store.get(k) for k in keys]
+        acct.nbytes += sum(b.nbytes for b in blocks if b is not None)
+    return blocks
+
+
+def _publish(
+    store: BlockStore,
+    keys: Sequence[str],
+    arrays: Dict[int, Dict[str, np.ndarray]],
+    meta: Dict[str, object],
+    n_sensors: int,
+    profile: StageProfile,
+    shard: Shard,
+) -> int:
+    """Publish the freshly acquired sensors' blocks; returns bytes
+    written.  Fan-out blocks (N > 1) record their place in the fan-out."""
+    with profile.stage("cache", items=shard.size) as acct:
+        before = store.counters.bytes_written
+        for index, block in arrays.items():
+            block_meta = dict(meta)
+            if n_sensors > 1:
+                block_meta["fanout"] = {"sensors": n_sensors, "index": index}
+            store.put(keys[index], block, meta=block_meta)
+        written = store.counters.bytes_written - before
+        acct.nbytes += written
+    return written
+
+
+def _cache_io(
+    store: Optional[BlockStore],
+    blocks: Sequence[Optional[CachedBlock]],
+    bytes_written: int,
+) -> _CacheIO:
+    """Derive a shard's outcome and traffic from its lookups."""
+    if store is None:
+        return _CacheIO()
+    hits = [b for b in blocks if b is not None]
+    if len(hits) == len(blocks):
+        outcome = "remote" if any(b.tier == "remote" for b in hits) else "local"
+    else:
+        outcome = "partial" if hits else "miss"
+    fanout = len(blocks) > 1
+    return _CacheIO(
+        outcome=outcome,
+        bytes_read=sum(b.nbytes for b in hits),
+        bytes_written=bytes_written,
+        sub_hits=len(hits) if fanout else 0,
+        sub_misses=len(blocks) - len(hits) if fanout else 0,
+    )
+
+
 def _acquire_or_replay(
-    acq: AESTraceAcquisition,
+    msa: MultiSensorAcquisition,
     aes: AES128,
     n_samples: int,
     shard: Shard,
     seed_seq: np.random.SeedSequence,
     profile: StageProfile,
     store: Optional[BlockStore],
-    key: Optional[str],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str, int]:
-    """One shard's ``(readouts, pts, cts)`` — replayed from the block
-    store on a hit, acquired live (and published) on a miss.
+    keys: Optional[Sequence[str]],
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, _CacheIO]:
+    """One shard's per-sensor readouts and shared ``(pts, cts)`` —
+    replayed from the block store where every sensor hits, acquired
+    live (and published) for the sensors that miss.
 
-    On a hit the returned arrays are read-only memmap views over the
-    block file: consumers stream from the page cache without a copy.
+    Replayed arrays are read-only memmap views over the block files:
+    consumers stream from the page cache without a copy.
     """
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            block = store.get(key)
-            if block is not None:
-                acct.nbytes += block.nbytes
-        if block is not None:
-            a = block.arrays
-            return a["traces"], a["pts"], a["cts"], "hit", block.nbytes
+    n_sensors = len(msa)
+    blocks = _lookup(store, keys, n_sensors, profile, shard)
+    if all(b is not None for b in blocks):
+        first = blocks[0].arrays
+        readouts = [b.arrays["traces"] for b in blocks]
+        return readouts, first["pts"], first["cts"], _cache_io(store, blocks, 0)
     rng = np.random.default_rng(seed_seq)
     shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
-    readouts, shard_cts = acq.acquire_block(
-        aes, shard_pts, rng, n_samples, profile=profile
+    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
+    results = msa.acquire_block_many(
+        aes, shard_pts, rng, n_samples, profile=profile, skip=skip
     )
+    shard_cts = next(r[1] for r in results if r is not None)
+    readouts = [
+        blocks[i].arrays["traces"] if i in skip else results[i][0]
+        for i in range(n_sensors)
+    ]
+    written = 0
     if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            before = store.counters.bytes_written
-            store.put(
-                key,
-                {"traces": readouts, "pts": shard_pts, "cts": shard_cts},
-                meta={"lineage": seed_lineage(seed_seq), "block_items": shard.size},
-            )
-            acct.nbytes += store.counters.bytes_written - before
-        return readouts, shard_pts, shard_cts, "miss", store.counters.bytes_written - before
-    return readouts, shard_pts, shard_cts, "", 0
+        fresh = {
+            i: {"traces": results[i][0], "pts": shard_pts, "cts": shard_cts}
+            for i in range(n_sensors) if i not in skip
+        }
+        meta = {"lineage": seed_lineage(seed_seq), "block_items": shard.size}
+        written = _publish(store, keys, fresh, meta, n_sensors, profile, shard)
+    return readouts, shard_pts, shard_cts, _cache_io(store, blocks, written)
 
 
-def _shard_metrics(
+def _shard_result(
     shard: Shard,
     profile: StageProfile,
     start: float,
-    seconds: float,
-    cache: str,
-    cache_nbytes: int,
-    *,
-    bytes_read: Optional[int] = None,
-    bytes_written: Optional[int] = None,
-    sub_hits: int = 0,
-    sub_misses: int = 0,
+    t0: float,
+    io: _CacheIO,
+    store: Optional[BlockStore] = None,
+    snap=None,
 ) -> ShardMetrics:
     """Lift a shard's profile into its span subtree + metrics view.
 
-    Single-sensor shards leave the read/write split implicit (a hit is
-    all read, a miss all written) and carry no sub-block counters; the
-    fan-out bodies pass all four explicitly, and only then do the
-    sub-block counters appear in the span (existing span shapes stay
-    untouched).
+    The sub-block counters appear in the span only for fan-out shards
+    with the cache on.
     """
-    if bytes_read is None:
-        bytes_read = cache_nbytes if cache == "hit" else 0
-    if bytes_written is None:
-        bytes_written = cache_nbytes if cache == "miss" else 0
+    seconds = time.perf_counter() - t0
     counters: Dict[str, float] = {
-        "items": shard.size, "cache_nbytes": cache_nbytes
+        "items": shard.size, "cache_nbytes": io.bytes_read + io.bytes_written
     }
-    if sub_hits or sub_misses:
-        counters["cache_sub_hits"] = sub_hits
-        counters["cache_sub_misses"] = sub_misses
+    if io.sub_hits or io.sub_misses:
+        counters["cache_sub_hits"] = io.sub_hits
+        counters["cache_sub_misses"] = io.sub_misses
     span = profile.to_span(
         "shard",
         start=start,
         seconds=seconds,
-        attrs={"shard": shard.index, "cache": cache},
+        attrs={"shard": shard.index, "cache": io.outcome},
         counters=counters,
     )
-    return ShardMetrics(
+    metrics = ShardMetrics(
         shard_index=shard.index,
         n_items=shard.size,
         seconds=seconds,
         span=span,
-        cache=cache,
-        cache_nbytes=cache_nbytes,
-        cache_bytes_read=bytes_read,
-        cache_bytes_written=bytes_written,
-        cache_sub_hits=sub_hits,
-        cache_sub_misses=sub_misses,
+        cache=io.outcome,
+        cache_nbytes=io.bytes_read + io.bytes_written,
+        cache_bytes_read=io.bytes_read,
+        cache_bytes_written=io.bytes_written,
+        cache_sub_hits=io.sub_hits,
+        cache_sub_misses=io.sub_misses,
     )
+    return _attach_remote_delta(metrics, store, snap)
 
 
 def _remote_snapshot(store: Optional[BlockStore]):
@@ -230,13 +311,14 @@ def _attach_remote_delta(
     objects; the per-shard delta rides the span instead (only nonzero
     counters are attached, so local-only runs keep their exact span
     shapes).  :class:`~repro.runtime.metrics.EngineMetrics` sums these
-    into the per-run remote totals.
+    into the per-run remote totals; ``store_remote_hits`` (blocks the
+    store read through) is the cross-check of the shard outcomes.
     """
     if store is None or snap is None or metrics.span is None:
         return metrics
     c = store.counters
     deltas = {
-        "cache_remote_hits": c.remote_hits - snap[0],
+        "store_remote_hits": c.remote_hits - snap[0],
         "cache_remote_misses": c.remote_misses - snap[1],
         "cache_remote_bytes_read": c.remote_bytes_read - snap[2],
         "cache_expired": c.expired - snap[3],
@@ -269,283 +351,72 @@ def _checkpoint_event(
 
 
 def _run_collect_shard(
-    acq: AESTraceAcquisition,
-    aes: AES128,
-    n_samples: int,
+    job: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    traces: np.ndarray,
-    pts: np.ndarray,
-    cts: np.ndarray,
-    store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
+    store: Optional[BlockStore],
+    keys: Optional[Sequence[str]],
 ) -> ShardMetrics:
-    start = time.time()
-    t0 = time.perf_counter()
+    """Acquire one shard into the ``(n_sensors, n_traces, n_samples)``
+    ``traces`` buffer and the shared ``pts``/``cts`` buffers."""
+    start, t0 = time.time(), time.perf_counter()
     snap = _remote_snapshot(store)
     profile = StageProfile()
-    readouts, shard_pts, shard_cts, cache, cache_nbytes = _acquire_or_replay(
-        acq, aes, n_samples, shard, seed_seq, profile, store, key
+    readouts, shard_pts, shard_cts, io = _acquire_or_replay(
+        job["msa"], job["aes"], job["n_samples"], shard, seed_seq,
+        profile, store, keys,
     )
-    traces[shard.slice] = readouts
-    pts[shard.slice] = shard_pts
-    cts[shard.slice] = shard_cts
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
-    )
-    return _attach_remote_delta(metrics, store, snap)
+    for i, block in enumerate(readouts):
+        job["traces"][i][shard.slice] = block
+    job["pts"][shard.slice] = shard_pts
+    job["cts"][shard.slice] = shard_cts
+    return _shard_result(shard, profile, start, t0, io, store, snap)
 
 
 def _run_stream_shard(
-    acq: AESTraceAcquisition,
-    aes: AES128,
-    n_samples: int,
+    job: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    consumer_factory: Callable[[], object],
-    chunk_size: Optional[int],
-    boundaries: Tuple[int, ...],
-    store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
-) -> Tuple[ShardMetrics, List[Tuple[int, object]]]:
-    """Acquire one shard and fold it into per-segment accumulators.
+    store: Optional[BlockStore],
+    keys: Optional[Sequence[str]],
+) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
+    """Acquire one shard and fold each sensor's readouts into
+    per-segment accumulators.
 
     The random draws are identical to :func:`_run_collect_shard` (same
     plaintexts, same noise), so a streamed campaign sees exactly the
     traces a collected campaign would — it just never keeps them.  The
     shard is split at the global checkpoint ``boundaries`` so the
     parent can evaluate the attack at exact trace counts; each segment
-    becomes one fresh accumulator from ``consumer_factory``, fed in
-    ``chunk_size`` pieces.  Returns ``(metrics, [(end, accumulator),
-    ...])`` with ``end`` the global trace count the segment closes at.
+    becomes one fresh accumulator from the job's ``factory``, fed in
+    ``chunk_size`` pieces.  Returns ``(metrics, per_sensor_segments)``
+    where ``per_sensor_segments[i]`` is sensor ``i``'s ``[(end,
+    accumulator), ...]`` with ``end`` the global trace count the
+    segment closes at — same segmentation and chunking for every
+    sensor, so each fold is bit-identical to streaming that sensor
+    alone.
 
     With a block store, a hit feeds the accumulators straight from the
     memory-mapped block — zero-copy: the trace matrix exists only as
     page-cache-backed views, exactly the peak-memory story of live
     streaming.
     """
-    start = time.time()
-    t0 = time.perf_counter()
+    start, t0 = time.time(), time.perf_counter()
     snap = _remote_snapshot(store)
     profile = StageProfile()
-    readouts, _shard_pts, shard_cts, cache, cache_nbytes = _acquire_or_replay(
-        acq, aes, n_samples, shard, seed_seq, profile, store, key
+    readouts_list, _shard_pts, shard_cts, io = _acquire_or_replay(
+        job["msa"], job["aes"], job["n_samples"], shard, seed_seq,
+        profile, store, keys,
     )
-    cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
-    edges = [0, *cuts, shard.size]
-    segments: List[Tuple[int, object]] = []
-    with profile.stage("accumulate", items=shard.size):
-        for lo, hi in zip(edges, edges[1:]):
-            part = consumer_factory()
-            for sl in iter_chunk_slices(hi - lo, chunk_size):
-                part.update(
-                    readouts[lo + sl.start : lo + sl.stop],
-                    shard_cts[lo + sl.start : lo + sl.stop],
-                )
-            segments.append((shard.start + hi, part))
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
-    )
-    return _attach_remote_delta(metrics, store, snap), segments
-
-
-def _run_characterize_shard(
-    sensor: VoltageSensor,
-    droop: float,
-    noise: NoiseModel,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    out: np.ndarray,
-    store: Optional[BlockStore] = None,
-    key: Optional[str] = None,
-) -> ShardMetrics:
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    cache, cache_nbytes = "", 0
-    block = None
-    if store is not None:
-        with profile.stage("cache", items=shard.size):
-            block = store.get(key)
-    if block is not None:
-        out[shard.slice] = block.arrays["readouts"]
-        cache, cache_nbytes = "hit", block.nbytes
-    else:
-        rng = np.random.default_rng(seed_seq)
-        readouts = characterize_block(
-            sensor, droop, noise, shard.size, rng, profile=profile
-        )
-        out[shard.slice] = readouts
-        if store is not None:
-            with profile.stage("cache", items=shard.size):
-                before = store.counters.bytes_written
-                store.put(
-                    key,
-                    {"readouts": readouts},
-                    meta={"lineage": seed_lineage(seed_seq)},
-                )
-            cache, cache_nbytes = "miss", store.counters.bytes_written - before
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, cache_nbytes
-    )
-    return _attach_remote_delta(metrics, store, snap)
-
-
-# ----------------------------------------------------------------------
-# Fan-out shard bodies.  One shard of a fan-out campaign covers N
-# (sensor, placement) pairs: the kernel's ``acquire_many`` computes the
-# shared AES+PDN pass once and samples each sensor from it, and the
-# block store is consulted *per sensor* — each sub-block key is the
-# exact key a single-sensor campaign over that pair would use, so
-# fan-out and single-sensor campaigns share cached blocks freely in
-# both directions.  A shard where every sensor hits is a "hit", where
-# none hit a "miss", and a mixed shard a "partial": the hit sensors
-# are served from their blocks and only the missing ones acquired
-# (skip semantics keep the missing sensors' draws bit-identical).
-# ----------------------------------------------------------------------
-
-
-def _acquire_or_replay_many(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    profile: StageProfile,
-    store: Optional[BlockStore],
-    keys: Optional[Sequence[Optional[str]]],
-) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray, str, Dict[str, int]]:
-    """One fan-out shard's per-sensor readouts, with per-sensor cache.
-
-    Returns ``(readouts_list, pts, cts, cache, cache_stats)`` where
-    ``cache_stats`` carries the keyword arguments of
-    :func:`_shard_metrics` (byte split plus sub-block counters).
-    """
-    n_sensors = len(msa)
-    blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            blocks = [store.get(k) for k in keys]
-            bytes_read = sum(b.nbytes for b in blocks if b is not None)
-            acct.nbytes += bytes_read
-    sub_hits = sum(1 for b in blocks if b is not None)
-    if store is not None and sub_hits == n_sensors:
-        first = blocks[0].arrays
-        readouts = [b.arrays["traces"] for b in blocks]
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=0,
-            sub_hits=sub_hits, sub_misses=0,
-        )
-        return readouts, first["pts"], first["cts"], "hit", stats
-    rng = np.random.default_rng(seed_seq)
-    shard_pts = rng.integers(0, 256, size=(shard.size, 16), dtype=np.uint8)
-    skip = frozenset(i for i, b in enumerate(blocks) if b is not None)
-    results = msa.acquire_block_many(
-        aes, shard_pts, rng, n_samples, profile=profile, skip=skip
-    )
-    shard_cts = next(r[1] for r in results if r is not None)
-    readouts = [
-        blocks[i].arrays["traces"] if i in skip else results[i][0]
-        for i in range(n_sensors)
-    ]
-    bytes_written = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size) as acct:
-            before = store.counters.bytes_written
-            for i in range(n_sensors):
-                if i in skip:
-                    continue
-                store.put(
-                    keys[i],
-                    {"traces": results[i][0], "pts": shard_pts, "cts": shard_cts},
-                    meta={
-                        "lineage": seed_lineage(seed_seq),
-                        "block_items": shard.size,
-                        "fanout": {"sensors": n_sensors, "index": i},
-                    },
-                )
-            bytes_written = store.counters.bytes_written - before
-            acct.nbytes += bytes_written
-        cache = "partial" if sub_hits else "miss"
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=bytes_written,
-            sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
-        )
-        return readouts, shard_pts, shard_cts, cache, stats
-    return readouts, shard_pts, shard_cts, "", dict(
-        bytes_read=0, bytes_written=0, sub_hits=0, sub_misses=0
-    )
-
-
-def _run_collect_many_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    traces: np.ndarray,
-    pts: np.ndarray,
-    cts: np.ndarray,
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
-) -> ShardMetrics:
-    """Fan-out counterpart of :func:`_run_collect_shard` — ``traces``
-    is the ``(n_sensors, n_traces, n_samples)`` result buffer."""
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts, shard_pts, shard_cts, cache, stats = _acquire_or_replay_many(
-        msa, aes, n_samples, shard, seed_seq, profile, store, keys
-    )
-    for i, block in enumerate(readouts):
-        traces[i][shard.slice] = block
-    pts[shard.slice] = shard_pts
-    cts[shard.slice] = shard_cts
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap)
-
-
-def _run_stream_many_shard(
-    msa: MultiSensorAcquisition,
-    aes: AES128,
-    n_samples: int,
-    shard: Shard,
-    seed_seq: np.random.SeedSequence,
-    consumer_factory: Callable[[], object],
-    chunk_size: Optional[int],
-    boundaries: Tuple[int, ...],
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
-) -> Tuple[ShardMetrics, List[List[Tuple[int, object]]]]:
-    """Fan-out counterpart of :func:`_run_stream_shard`.
-
-    Returns ``(metrics, per_sensor_segments)`` where
-    ``per_sensor_segments[i]`` is the ``[(end, accumulator), ...]``
-    list sensor ``i``'s readouts folded into — same segmentation, same
-    chunking, so each sensor's fold is bit-identical to streaming that
-    sensor alone.
-    """
-    start = time.time()
-    t0 = time.perf_counter()
-    snap = _remote_snapshot(store)
-    profile = StageProfile()
-    readouts_list, _shard_pts, shard_cts, cache, stats = _acquire_or_replay_many(
-        msa, aes, n_samples, shard, seed_seq, profile, store, keys
-    )
-    cuts = [b - shard.start for b in boundaries if shard.start < b < shard.stop]
+    factory, chunk_size = job["factory"], job["chunk_size"]
+    cuts = [b - shard.start for b in job["boundaries"] if shard.start < b < shard.stop]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = []
     with profile.stage("accumulate", items=shard.size):
         for readouts in readouts_list:
             segments: List[Tuple[int, object]] = []
             for lo, hi in zip(edges, edges[1:]):
-                part = consumer_factory()
+                part = factory()
                 for sl in iter_chunk_slices(hi - lo, chunk_size):
                     part.update(
                         readouts[lo + sl.start : lo + sl.stop],
@@ -553,48 +424,34 @@ def _run_stream_many_shard(
                     )
                 segments.append((shard.start + hi, part))
             per_sensor.append(segments)
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap), per_sensor
+    return _shard_result(shard, profile, start, t0, io, store, snap), per_sensor
 
 
-def _run_characterize_many_shard(
-    sensors: Sequence[VoltageSensor],
-    droops: Sequence[float],
-    noises: Sequence[NoiseModel],
+def _run_characterize_shard(
+    job: Dict[str, object],
     shard: Shard,
     seed_seq: np.random.SeedSequence,
-    out: np.ndarray,
-    store: Optional[BlockStore] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
+    store: Optional[BlockStore],
+    keys: Optional[Sequence[str]],
 ) -> ShardMetrics:
-    """Fan-out counterpart of :func:`_run_characterize_shard` —
-    ``out`` is the ``(n_sensors, n_readouts)`` result buffer.
+    """Sample one shard of every sensor into the ``(n_sensors,
+    n_readouts)`` ``out`` buffer.
 
     Every sensor's readouts come from the *same* entry RNG state
     (restored between sensors), so each row is bit-identical to a
-    single-sensor :meth:`Engine.characterize` with the same seed.
+    campaign over that sensor alone with the same seed.
     """
-    start = time.time()
-    t0 = time.perf_counter()
+    start, t0 = time.time(), time.perf_counter()
     snap = _remote_snapshot(store)
     profile = StageProfile()
-    n_sensors = len(sensors)
-    blocks: List[Optional[object]] = [None] * n_sensors
-    bytes_read = 0
-    if store is not None:
-        with profile.stage("cache", items=shard.size):
-            blocks = [store.get(k) for k in keys]
-            bytes_read = sum(b.nbytes for b in blocks if b is not None)
-    sub_hits = sum(1 for b in blocks if b is not None)
+    sensors, out = job["sensors"], job["out"]
+    blocks = _lookup(store, keys, len(sensors), profile, shard)
+    fresh: Dict[int, Dict[str, np.ndarray]] = {}
     rng: Optional[np.random.Generator] = None
     entry_state = None
-    bytes_written = 0
-    for i in range(n_sensors):
-        if blocks[i] is not None:
-            out[i][shard.slice] = blocks[i].arrays["readouts"]
+    for i, block in enumerate(blocks):
+        if block is not None:
+            out[i][shard.slice] = block.arrays["readouts"]
             continue
         if rng is None:
             rng = np.random.default_rng(seed_seq)
@@ -602,45 +459,30 @@ def _run_characterize_many_shard(
         else:
             rng.bit_generator.state = entry_state
         readouts = characterize_block(
-            sensors[i], droops[i], noises[i], shard.size, rng, profile=profile
+            sensors[i], job["droops"][i], job["noises"][i], shard.size, rng,
+            profile=profile,
         )
         out[i][shard.slice] = readouts
-        if store is not None:
-            with profile.stage("cache", items=shard.size):
-                before = store.counters.bytes_written
-                store.put(
-                    keys[i],
-                    {"readouts": readouts},
-                    meta={
-                        "lineage": seed_lineage(seed_seq),
-                        "fanout": {"sensors": n_sensors, "index": i},
-                    },
-                )
-                bytes_written += store.counters.bytes_written - before
-    if store is None:
-        cache, stats = "", dict(
-            bytes_read=0, bytes_written=0, sub_hits=0, sub_misses=0
-        )
-    else:
-        cache = (
-            "hit" if sub_hits == n_sensors
-            else "partial" if sub_hits else "miss"
-        )
-        stats = dict(
-            bytes_read=bytes_read, bytes_written=bytes_written,
-            sub_hits=sub_hits, sub_misses=n_sensors - sub_hits,
-        )
-    nbytes = stats["bytes_read"] + stats["bytes_written"]
-    metrics = _shard_metrics(
-        shard, profile, start, time.perf_counter() - t0, cache, nbytes, **stats
-    )
-    return _attach_remote_delta(metrics, store, snap)
+        fresh[i] = {"readouts": readouts}
+    written = 0
+    if store is not None and fresh:
+        meta = {"lineage": seed_lineage(seed_seq)}
+        written = _publish(store, keys, fresh, meta, len(sensors), profile, shard)
+    io = _cache_io(store, blocks, written)
+    return _shard_result(shard, profile, start, t0, io, store, snap)
+
+
+_SHARD_BODIES = {
+    "collect": _run_collect_shard,
+    "stream": _run_stream_shard,
+    "characterize": _run_characterize_shard,
+}
 
 
 # ----------------------------------------------------------------------
 # Worker-side plumbing.  Workers attach the parent's shared-memory
 # segments once (in the pool initializer) and keep array views for the
-# pool's lifetime; per-shard tasks then only carry (shard, seed).
+# pool's lifetime; per-shard tasks then only carry (shard, seed, keys).
 # ----------------------------------------------------------------------
 
 _WORKER: dict = {}
@@ -667,164 +509,27 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return seg
 
 
-def _init_collect_worker(acq, key_bytes, n_samples, buffers, store=None):
+def _init_worker(kind: str, job: Dict[str, object], buffers, store=None) -> None:
     # One BLAS/OMP thread per worker (REPRO_BLAS_THREADS overrides): the
     # pool already claims every core, and nested threadpools thrash.
     pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+    segments = {label: _attach_segment(name) for label, (name, _s, _d) in buffers.items()}
+    arrays = {
+        label: np.ndarray(shape, dtype=dtype, buffer=segments[label].buf)
+        for label, (_name, shape, dtype) in buffers.items()
+    }
     _WORKER.clear()
     _WORKER.update(
-        acq=acq,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
+        body=_SHARD_BODIES[kind],
+        job={**job, **arrays},
         segments=segments,
-        arrays=arrays,
         store=store,
     )
 
 
-def _collect_shard_task(shard: Shard, seed_seq, block_key=None) -> ShardMetrics:
+def _shard_task(shard: Shard, seed_seq, block_keys=None):
     w = _WORKER
-    a = w["arrays"]
-    return _run_collect_shard(
-        w["acq"], w["aes"], w["n_samples"], shard, seed_seq,
-        a["traces"], a["pts"], a["cts"],
-        store=w["store"], key=block_key,
-    )
-
-
-def _init_stream_worker(
-    acq, key_bytes, n_samples, factory, chunk_size, boundaries, store=None
-):
-    pin_worker_threads()
-    _WORKER.clear()
-    _WORKER.update(
-        acq=acq,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        factory=factory,
-        chunk_size=chunk_size,
-        boundaries=boundaries,
-        store=store,
-    )
-
-
-def _stream_shard_task(shard: Shard, seed_seq, block_key=None):
-    w = _WORKER
-    return _run_stream_shard(
-        w["acq"], w["aes"], w["n_samples"], shard, seed_seq,
-        w["factory"], w["chunk_size"], w["boundaries"],
-        store=w["store"], key=block_key,
-    )
-
-
-def _init_characterize_worker(sensor, droop, noise, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        sensor=sensor, droop=droop, noise=noise,
-        segments=segments, arrays=arrays, store=store,
-    )
-
-
-def _characterize_shard_task(shard: Shard, seed_seq, block_key=None) -> ShardMetrics:
-    w = _WORKER
-    return _run_characterize_shard(
-        w["sensor"], w["droop"], w["noise"], shard, seed_seq,
-        w["arrays"]["out"],
-        store=w["store"], key=block_key,
-    )
-
-
-def _init_collect_many_worker(msa, key_bytes, n_samples, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        msa=msa,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        segments=segments,
-        arrays=arrays,
-        store=store,
-    )
-
-
-def _collect_many_shard_task(shard: Shard, seed_seq, block_keys=None) -> ShardMetrics:
-    w = _WORKER
-    a = w["arrays"]
-    return _run_collect_many_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        a["traces"], a["pts"], a["cts"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _init_stream_many_worker(
-    msa, key_bytes, n_samples, factory, chunk_size, boundaries, store=None
-):
-    pin_worker_threads()
-    _WORKER.clear()
-    _WORKER.update(
-        msa=msa,
-        aes=AES128(key_bytes),
-        n_samples=n_samples,
-        factory=factory,
-        chunk_size=chunk_size,
-        boundaries=boundaries,
-        store=store,
-    )
-
-
-def _stream_many_shard_task(shard: Shard, seed_seq, block_keys=None):
-    w = _WORKER
-    return _run_stream_many_shard(
-        w["msa"], w["aes"], w["n_samples"], shard, seed_seq,
-        w["factory"], w["chunk_size"], w["boundaries"],
-        store=w["store"], keys=block_keys,
-    )
-
-
-def _init_characterize_many_worker(sensors, droops, noises, buffers, store=None):
-    pin_worker_threads()
-    segments = {}
-    arrays = {}
-    for label, (name, shape, dtype) in buffers.items():
-        seg = _attach_segment(name)
-        segments[label] = seg
-        arrays[label] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-    _WORKER.clear()
-    _WORKER.update(
-        sensors=sensors, droops=droops, noises=noises,
-        segments=segments, arrays=arrays, store=store,
-    )
-
-
-def _characterize_many_shard_task(
-    shard: Shard, seed_seq, block_keys=None
-) -> ShardMetrics:
-    w = _WORKER
-    return _run_characterize_many_shard(
-        w["sensors"], w["droops"], w["noises"], shard, seed_seq,
-        w["arrays"]["out"],
-        store=w["store"], keys=block_keys,
-    )
+    return w["body"](w["job"], shard, seed_seq, w["store"], block_keys)
 
 
 class _SharedBuffers:
@@ -915,13 +620,17 @@ class Engine:
         self.schedule = validate_schedule(schedule)
         #: Metrics of the most recent run (:class:`EngineMetrics`).
         self.last_metrics: Optional[EngineMetrics] = None
-        #: Cache activity accumulated over *all* runs of this engine
-        #: (``{"hits", "misses", "partial", "sub_hits", "sub_misses",
-        #: "bytes_read", "bytes_written"}`` plus the tiered-store
-        #: counters: per-tier traffic (``remote_*``), prune races
-        #: (``expired``), write-behind publishing and background
-        #: prefetch (``prefetch_*``)) — ``last_metrics`` only covers
-        #: the final campaign of a multi-campaign experiment.
+        #: Cache activity accumulated over *all* runs of this engine.
+        #: Shard outcomes: ``hits`` (served by the local tier),
+        #: ``remote_hits`` (served by a remote read-through),
+        #: ``misses`` and ``partial`` — every shard counts in exactly
+        #: one of the four.  Plus per-sensor ``sub_hits``/
+        #: ``sub_misses`` of fan-out shards, ``bytes_read``/
+        #: ``bytes_written``, and the tiered-store counters: remote
+        #: traffic (``remote_*``), prune races (``expired``),
+        #: write-behind publishing and background prefetch
+        #: (``prefetch_*``).  ``last_metrics`` only covers the final
+        #: campaign of a multi-campaign experiment.
         self.cache_totals: Dict[str, int] = {
             "hits": 0, "misses": 0, "partial": 0,
             "sub_hits": 0, "sub_misses": 0,
@@ -975,7 +684,8 @@ class Engine:
         )
         self._metric_cache_lookups = registry.counter(
             "repro_cache_lookups_total",
-            "Shard cache lookups by outcome (hit counts any warm tier).",
+            "Shard cache lookups by outcome (hit counts either warm "
+            "tier; the local/remote split depends on prefetch timing).",
             labelnames=("outcome",), deterministic=True,
         )
         self._metric_cache_bytes = registry.counter(
@@ -992,14 +702,13 @@ class Engine:
 
     # ------------------------------------------------------------------
     def cache_hit_rate(self) -> float:
-        """Full-shard hits over lookups accumulated across this
-        engine's runs (partially-hit fan-out shards count as lookups)."""
-        lookups = (
-            self.cache_totals["hits"]
-            + self.cache_totals["misses"]
-            + self.cache_totals["partial"]
-        )
-        return self.cache_totals["hits"] / lookups if lookups else 0.0
+        """Full-shard hits (either tier) over lookups accumulated across
+        this engine's runs (partially-hit fan-out shards count as
+        lookups)."""
+        totals = self.cache_totals
+        served = totals["hits"] + totals["remote_hits"]
+        lookups = served + totals["misses"] + totals["partial"]
+        return served / lookups if lookups else 0.0
 
     def _finish_metrics(
         self,
@@ -1021,6 +730,16 @@ class Engine:
         """
         metrics.shards.sort(key=lambda s: s.shard_index)
         metrics.wall_seconds = time.perf_counter() - t0
+        if self.cache is not None:
+            outcomes = (
+                metrics.cache_served + metrics.cache_misses
+                + metrics.cache_partial
+            )
+            if outcomes != metrics.n_shards:
+                raise CacheError(
+                    f"engine.{metrics.kind}: cache outcomes cover {outcomes} "
+                    f"of {metrics.n_shards} shards"
+                )
         extra = list(events)
         prefetch_snap: Dict[str, int] = {}
         if prefetcher is not None:
@@ -1093,12 +812,10 @@ class Engine:
             self._metric_steals.inc(steals)
         if self.cache is None:
             return
-        # Deterministic view: a hit from any warm tier is a hit (the
-        # local/remote split depends on prefetch timing, the union does
-        # not).
-        self._metric_cache_lookups.inc(
-            metrics.cache_hits + metrics.cache_remote_hits, outcome="hit"
-        )
+        # Deterministic view: a hit from either warm tier is a hit
+        # (the local/remote split depends on prefetch timing, the union
+        # does not).
+        self._metric_cache_lookups.inc(metrics.cache_served, outcome="hit")
         self._metric_cache_lookups.inc(metrics.cache_misses, outcome="miss")
         self._metric_cache_lookups.inc(metrics.cache_partial, outcome="partial")
         self._metric_cache_lookups.inc(metrics.cache_sub_hits, outcome="sub_hit")
@@ -1232,19 +949,27 @@ class Engine:
                 )
             )
 
+
     def _drive(
         self,
         kind: str,
         n_items: int,
         shards: Sequence[Shard],
         seqs: Sequence[np.random.SeedSequence],
-        serial_body: Callable[[Shard, np.random.SeedSequence, Optional[str]], ShardMetrics],
-        pool_task: Callable,
-        pool_initializer: Callable,
-        pool_initargs: Tuple,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> EngineMetrics:
-        """Run a shard plan serially or on a pool, collecting metrics."""
+        keys: Optional[Sequence[Tuple[str, ...]]],
+        job: Dict[str, object],
+        outputs: Optional[Dict[str, Tuple[Tuple[int, ...], type]]] = None,
+        fold: Optional[Callable[[ShardTask, object], ShardMetrics]] = None,
+        events: List[SpanRecord] = (),
+    ) -> Dict[str, np.ndarray]:
+        """Run one campaign's shard plan serially or on a pool.
+
+        ``job`` holds the shard body's inputs; ``outputs`` names the
+        result buffers the bodies write (``{label: (shape, dtype)}`` —
+        plain arrays serially, shared memory on a pool).  ``fold``
+        consumes each raw shard result in the parent and returns its
+        metrics (the streaming merge).  Returns the output arrays.
+        """
         if keys is None:
             keys = [None] * len(shards)
         tasks = [
@@ -1257,31 +982,103 @@ class Engine:
             n_shards=len(shards),
             workers=min(self.workers, len(shards)),
         )
+        specs = {
+            label: (shape, np.dtype(dtype))
+            for label, (shape, dtype) in (outputs or {}).items()
+        }
+        body = _SHARD_BODIES[kind]
         start = time.time()
         t0 = time.perf_counter()
-        classes, prefetcher = self._plan_cache_traffic(tasks)
+        buffers: Optional[_SharedBuffers] = None
+        prefetcher: Optional[RemotePrefetcher] = None
         try:
+            if self.workers == 1:
+                arrays = {
+                    label: np.empty(shape, dtype=dtype)
+                    for label, (shape, dtype) in specs.items()
+                }
+                serial_job = {**job, **arrays}
+                initargs: Tuple = ()
+            else:
+                buffers = _SharedBuffers(specs)
+                arrays = buffers.arrays
+                serial_job = None
+                initargs = (
+                    kind, job, buffers.spec_for_worker, self._worker_cache()
+                )
+            classes, prefetcher = self._plan_cache_traffic(tasks)
             done = 0
-            for task, sm in dispatch(
+            for task, result in dispatch(
                 tasks,
                 workers=self.workers,
                 schedule=self.schedule,
-                serial_body=serial_body,
-                pool_task=pool_task,
-                pool_initializer=pool_initializer,
-                pool_initargs=pool_initargs,
+                serial_body=lambda shard, seq, bkeys: body(
+                    serial_job, shard, seq, self.cache, bkeys
+                ),
+                pool_task=_shard_task,
+                pool_initializer=_init_worker,
+                pool_initargs=initargs,
                 classes=classes,
             ):
+                sm = fold(task, result) if fold is not None else result
                 metrics.shards.append(sm)
                 self._publish_after(task, sm)
                 done += task.shard.size
                 self._metric_queue_depth.set(len(tasks) - len(metrics.shards))
                 self._emit(kind, done, n_items, sm)
+            if buffers is not None:
+                arrays = {label: buffers.copy_out(label) for label in specs}
         finally:
             self._metric_queue_depth.set(0)
             if prefetcher is not None:
                 prefetcher.stop()
-        return self._finish_metrics(metrics, t0, start, prefetcher=prefetcher)
+            if buffers is not None:
+                buffers.close()
+        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
+        return arrays
+
+    def _acquisition_plan(
+        self,
+        acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
+        n_traces: int,
+        key,
+        seed: SeedLike,
+        n_samples: Optional[int],
+    ):
+        """Normalize an AES campaign: ``(msa, aes, n_samples, shards,
+        seqs, keys)`` with ``keys`` the per-shard tuples of per-sensor
+        block keys (``None`` with the cache off).
+
+        Each sensor's key is *exactly* the key a campaign over that
+        (sensor, placement) pair alone would compute — kernel choice,
+        worker count and fan-out width are all absent — so blocks flow
+        freely between campaigns of any width.
+        """
+        if isinstance(acquisitions, MultiSensorAcquisition):
+            msa = acquisitions
+        else:
+            msa = MultiSensorAcquisition(list(acquisitions))
+        aes = AES128(key)
+        if n_samples is None:
+            n_samples = msa.default_n_samples()
+        shards = plan_shards(n_traces, self.shard_size)
+        seqs = spawn_shard_sequences(seed, len(shards))
+        # Warm every model cache workers would otherwise rebuild: the
+        # moments table ships with the pickled sensor.
+        for acq in msa:
+            acq.sensor.precompute_moments()
+            acq.sensor.require_position()
+        keys = None
+        if self.cache is not None:
+            per_sensor = [
+                self._shard_keys(
+                    token, shards, seqs,
+                    n_samples=n_samples, aes_key=bytes(aes.key),
+                )
+                for token in msa.cache_tokens()
+            ]
+            keys = list(zip(*per_sensor))
+        return msa, aes, n_samples, shards, seqs, keys
 
     # ------------------------------------------------------------------
     def collect(
@@ -1293,7 +1090,8 @@ class Engine:
         seed: SeedLike = 0,
         n_samples: Optional[int] = None,
     ) -> TraceSet:
-        """Sharded equivalent of :meth:`AESTraceAcquisition.collect`.
+        """Sharded equivalent of :meth:`AESTraceAcquisition.collect`
+        (the N=1 case of :meth:`collect_many`).
 
         ``seed`` must be an integer or a :class:`numpy.random.
         SeedSequence` (generators are rejected — see
@@ -1301,106 +1099,9 @@ class Engine:
         seed the returned :class:`TraceSet` is bit-identical at any
         worker count.
         """
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = acquisition.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        # Warm every model cache workers would otherwise rebuild: the
-        # moments table ships with the pickled sensor.
-        acquisition.sensor.precompute_moments()
-        acquisition.sensor.require_position()
-        keys = self._shard_keys(
-            acquisition.cache_token() if self.cache is not None else None,
-            shards, seqs,
-            n_samples=n_samples,
-            aes_key=bytes(aes.key),
-        )
-
-        if self.workers == 1:
-            traces = np.empty((n_traces, n_samples), dtype=np.int16)
-            pts = np.empty((n_traces, 16), dtype=np.uint8)
-            cts = np.empty((n_traces, 16), dtype=np.uint8)
-            self._drive(
-                "collect", n_traces, shards, seqs,
-                lambda shard, seq, bkey: _run_collect_shard(
-                    acquisition, aes, n_samples, shard, seq, traces, pts, cts,
-                    store=self.cache, key=bkey,
-                ),
-                _collect_shard_task, _init_collect_worker, (),
-                keys=keys,
-            )
-        else:
-            buffers = _SharedBuffers(
-                {
-                    "traces": ((n_traces, n_samples), np.dtype(np.int16)),
-                    "pts": ((n_traces, 16), np.dtype(np.uint8)),
-                    "cts": ((n_traces, 16), np.dtype(np.uint8)),
-                }
-            )
-            try:
-                self._drive(
-                    "collect", n_traces, shards, seqs,
-                    lambda shard, seq, bkey: None,  # unused on the pool path
-                    _collect_shard_task,
-                    _init_collect_worker,
-                    (
-                        acquisition, bytes(aes.key), n_samples,
-                        buffers.spec_for_worker, self._worker_cache(),
-                    ),
-                    keys=keys,
-                )
-                traces = buffers.copy_out("traces")
-                pts = buffers.copy_out("pts")
-                cts = buffers.copy_out("cts")
-            finally:
-                buffers.close()
-
-        return TraceSet(
-            traces=traces,
-            plaintexts=pts,
-            ciphertexts=cts,
-            key=aes.key,
-            metadata=acquisition.trace_metadata(aes),
-        )
-
-    # ------------------------------------------------------------------
-    def _as_multi(
-        self,
-        acquisitions: Union[
-            MultiSensorAcquisition, Sequence[object]
-        ],
-    ) -> MultiSensorAcquisition:
-        """Normalize a spec/harness sequence to one fan-out harness."""
-        if isinstance(acquisitions, MultiSensorAcquisition):
-            return acquisitions
-        return MultiSensorAcquisition(list(acquisitions))
-
-    def _many_shard_keys(
-        self,
-        msa: MultiSensorAcquisition,
-        shards: Sequence[Shard],
-        seqs: Sequence[np.random.SeedSequence],
-        n_samples: int,
-        aes: AES128,
-    ) -> Optional[List[Tuple[Optional[str], ...]]]:
-        """Per-shard tuples of per-sensor block keys.
-
-        Each sensor's key is *exactly* the key a single-sensor campaign
-        over that (sensor, placement) pair would compute — kernel
-        choice, worker count and fan-out width are all absent — so
-        blocks flow freely between fan-out and single-sensor runs.
-        """
-        if self.cache is None:
-            return None
-        per_sensor = [
-            self._shard_keys(
-                token, shards, seqs,
-                n_samples=n_samples, aes_key=bytes(aes.key),
-            )
-            for token in msa.cache_tokens()
-        ]
-        return [tuple(shard_keys) for shard_keys in zip(*per_sensor)]
+        return self.collect_many(
+            [acquisition], n_traces, key=key, seed=seed, n_samples=n_samples
+        )[0]
 
     def collect_many(
         self,
@@ -1422,64 +1123,23 @@ class Engine:
         times.  All trace sets share the same plaintexts, ciphertexts
         and key.
         """
-        msa = self._as_multi(acquisitions)
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = msa.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        for acq in msa:
-            acq.sensor.precompute_moments()
-            acq.sensor.require_position()
-        keys = self._many_shard_keys(msa, shards, seqs, n_samples, aes)
-        n_sensors = len(msa)
-
-        if self.workers == 1:
-            traces = np.empty((n_sensors, n_traces, n_samples), dtype=np.int16)
-            pts = np.empty((n_traces, 16), dtype=np.uint8)
-            cts = np.empty((n_traces, 16), dtype=np.uint8)
-            self._drive(
-                "collect_many", n_traces, shards, seqs,
-                lambda shard, seq, bkeys: _run_collect_many_shard(
-                    msa, aes, n_samples, shard, seq, traces, pts, cts,
-                    store=self.cache, keys=bkeys,
-                ),
-                _collect_many_shard_task, _init_collect_many_worker, (),
-                keys=keys,
-            )
-        else:
-            buffers = _SharedBuffers(
-                {
-                    "traces": (
-                        (n_sensors, n_traces, n_samples), np.dtype(np.int16)
-                    ),
-                    "pts": ((n_traces, 16), np.dtype(np.uint8)),
-                    "cts": ((n_traces, 16), np.dtype(np.uint8)),
-                }
-            )
-            try:
-                self._drive(
-                    "collect_many", n_traces, shards, seqs,
-                    lambda shard, seq, bkeys: None,  # unused on the pool path
-                    _collect_many_shard_task,
-                    _init_collect_many_worker,
-                    (
-                        msa, bytes(aes.key), n_samples,
-                        buffers.spec_for_worker, self._worker_cache(),
-                    ),
-                    keys=keys,
-                )
-                traces = buffers.copy_out("traces")
-                pts = buffers.copy_out("pts")
-                cts = buffers.copy_out("cts")
-            finally:
-                buffers.close()
-
+        msa, aes, n_samples, shards, seqs, keys = self._acquisition_plan(
+            acquisitions, n_traces, key, seed, n_samples
+        )
+        out = self._drive(
+            "collect", n_traces, shards, seqs, keys,
+            job={"msa": msa, "aes": aes, "n_samples": n_samples},
+            outputs={
+                "traces": ((len(msa), n_traces, n_samples), np.int16),
+                "pts": ((n_traces, 16), np.uint8),
+                "cts": ((n_traces, 16), np.uint8),
+            },
+        )
         return [
             TraceSet(
-                traces=traces[i],
-                plaintexts=pts,
-                ciphertexts=cts,
+                traces=out["traces"][i],
+                plaintexts=out["pts"],
+                ciphertexts=out["cts"],
                 key=aes.key,
                 metadata=acq.trace_metadata(aes),
             )
@@ -1501,7 +1161,8 @@ class Engine:
         on_checkpoint: Optional[Callable[[int, object], None]] = None,
         consumer: Optional[object] = None,
     ) -> object:
-        """Acquire a campaign and fold it straight into an accumulator.
+        """Acquire a campaign and fold it straight into an accumulator
+        (the N=1 case of :meth:`stream_attack_many`).
 
         The streaming counterpart of :meth:`collect`: identical shard
         plan, identical random streams — so the traces are bit-for-bit
@@ -1544,6 +1205,50 @@ class Engine:
         snapshots without re-acquiring *or* re-accumulating a single
         trace, bit-identically.
         """
+        forward = None
+        if on_checkpoint is not None:
+            def forward(_sensor: int, count: int, acc: object) -> None:
+                on_checkpoint(count, acc)
+        return self.stream_attack_many(
+            [acquisition], n_traces, key=key,
+            consumer_factory=consumer_factory, seed=seed,
+            n_samples=n_samples, chunk_size=chunk_size,
+            checkpoints=checkpoints, on_checkpoint=forward,
+            consumers=None if consumer is None else [consumer],
+        )[0]
+
+    def stream_attack_many(
+        self,
+        acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
+        n_traces: int,
+        *,
+        key,
+        consumer_factory: Callable[[], object],
+        seed: SeedLike = 0,
+        n_samples: Optional[int] = None,
+        chunk_size: Optional[int] = None,
+        checkpoints: Sequence[int] = (),
+        on_checkpoint: Optional[Callable[[int, int, object], None]] = None,
+        consumers: Optional[Sequence[object]] = None,
+    ) -> List[object]:
+        """One victim campaign folded into one accumulator *per sensor*
+        (see :meth:`stream_attack` for the parameters).
+
+        ``consumer_factory`` is called once per sensor for the masters
+        (and per segment inside workers) unless ``consumers`` supplies
+        existing per-sensor accumulators to continue;
+        ``on_checkpoint(sensor_index, count, accumulator)`` fires per
+        sensor at each checkpoint, in sensor order within a checkpoint.
+        Each returned accumulator is bit-identical to streaming that
+        sensor alone with the same seed, at any worker count and chunk
+        size.
+
+        Attack-state snapshots are memoized for campaigns of one sensor
+        starting from fresh accumulators.  Wider campaigns cache only
+        their per-sensor trace blocks (under single-sensor-compatible
+        keys), so a warm rerun replays acquisition from the store and
+        repeats only the accumulation.
+        """
         chunk_size = validate_chunk_size(chunk_size, allow_none=True)
         boundaries = tuple(int(c) for c in checkpoints)
         if list(boundaries) != sorted(set(boundaries)):
@@ -1552,39 +1257,35 @@ class Engine:
             raise ConfigurationError(
                 f"checkpoints must lie in 1..{n_traces}, got {boundaries}"
             )
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = acquisition.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        acquisition.sensor.precompute_moments()
-        acquisition.sensor.require_position()
-        # Streamed and collected campaigns share block keys (and
-        # therefore stored blocks): the acquisition draws are identical.
-        keys = self._shard_keys(
-            acquisition.cache_token() if self.cache is not None else None,
-            shards, seqs,
-            n_samples=n_samples,
-            aes_key=bytes(aes.key),
+        msa, aes, n_samples, shards, seqs, keys = self._acquisition_plan(
+            acquisitions, n_traces, key, seed, n_samples
         )
+        n_sensors = len(msa)
+        if consumers is not None and len(consumers) != n_sensors:
+            raise ConfigurationError(
+                f"consumers must hold one accumulator per sensor "
+                f"({n_sensors}), got {len(consumers)}"
+            )
 
-        # Attack-state snapshots: with a store, a fresh consumer and an
-        # accumulator that can dump/restore its exact sums, the folded
-        # state at every checkpoint (plus the campaign end) is itself
-        # content-addressed — keyed by the attack configuration and the
-        # ordered block keys it covers.  A later identical run replays
-        # the whole campaign from those snapshots, skipping acquisition
-        # *and* re-accumulation; restored sums are bit-exact, so every
-        # derived correlation and key rank is unchanged.
+        # Attack-state snapshots: with a store, one sensor, fresh
+        # accumulators and an accumulator that can dump/restore its
+        # exact sums, the folded state at every checkpoint (plus the
+        # campaign end) is itself content-addressed — keyed by the
+        # attack configuration and the ordered block keys it covers.  A
+        # later identical run replays the whole campaign from those
+        # snapshots, skipping acquisition *and* re-accumulation;
+        # restored sums are bit-exact, so every derived correlation and
+        # key rank is unchanged.
         state_keys: Dict[int, str] = {}
         snap_points: List[int] = []
-        if self.cache is not None and consumer is None:
+        if self.cache is not None and n_sensors == 1 and consumers is None:
             probe = consumer_factory()
             if all(
                 hasattr(probe, m)
                 for m in ("cache_token", "state_arrays", "load_state_arrays")
             ):
                 attack_token = probe.cache_token()
+                block_keys = [shard_keys[0] for shard_keys in keys]
                 snap_points = sorted({*boundaries, n_traces})
                 stops = [s.stop for s in shards]
                 for end in snap_points:
@@ -1596,7 +1297,7 @@ class Engine:
                             "kind": "attack-state",
                             "schema": SCHEMA_VERSION,
                             "attack": attack_token,
-                            "blocks": keys[:covering],
+                            "blocks": block_keys[:covering],
                             "n_traces": end,
                         }
                     )
@@ -1608,82 +1309,63 @@ class Engine:
                 set(boundaries), on_checkpoint, consumer_factory,
             )
             if replayed is not None:
-                return replayed
+                return [replayed]
 
-        master = consumer if consumer is not None else consumer_factory()
+        masters = (
+            list(consumers) if consumers is not None
+            else [consumer_factory() for _ in range(n_sensors)]
+        )
         checkpoint_set = set(boundaries)
-        pending: Dict[int, List[Tuple[int, object]]] = {}
+        pending: Dict[int, List[List[Tuple[int, object]]]] = {}
         next_index = 0
         events: List[SpanRecord] = []
 
-        metrics = EngineMetrics(
-            kind="stream",
-            n_items=n_traces,
-            n_shards=len(shards),
-            workers=min(self.workers, len(shards)),
-        )
-        start = time.time()
-        t0 = time.perf_counter()
-
-        def fold_ready() -> None:
-            """Merge completed shards in index order, firing checkpoints."""
+        def fold(task: ShardTask, result) -> ShardMetrics:
+            """Merge completed shards in index order; per checkpoint,
+            fire every sensor's callback in sensor order."""
             nonlocal next_index
+            sm, per_sensor = result
+            pending[task.shard.index] = per_sensor
             while next_index in pending:
-                for end, part in pending.pop(next_index):
-                    master.merge(part)
-                    if end in state_keys and not self.cache.contains(
-                        state_keys[end]
-                    ):
-                        # Snapshot the exact state *before* the
-                        # checkpoint callback sees it: the dump is the
-                        # first `end` traces, nothing else.
-                        self.cache.put(
-                            state_keys[end],
-                            master.state_arrays(),
-                            meta={"kind": "attack-state", "n_traces": end},
-                        )
-                    if end in checkpoint_set:
-                        events.append(_checkpoint_event(end, master))
-                        if on_checkpoint is not None:
-                            on_checkpoint(end, master)
+                per_sensor = pending.pop(next_index)
+                for pos, (end, _part) in enumerate(per_sensor[0]):
+                    for s_i, segments in enumerate(per_sensor):
+                        master = masters[s_i]
+                        master.merge(segments[pos][1])
+                        if end in state_keys and not self.cache.contains(
+                            state_keys[end]
+                        ):
+                            # Snapshot the exact state *before* the
+                            # checkpoint callback sees it: the dump is
+                            # the first `end` traces, nothing else.
+                            self.cache.put(
+                                state_keys[end],
+                                master.state_arrays(),
+                                meta={"kind": "attack-state", "n_traces": end},
+                            )
+                        if end in checkpoint_set:
+                            events.append(
+                                _checkpoint_event(
+                                    end, master,
+                                    sensor=s_i if n_sensors > 1 else None,
+                                )
+                            )
+                            if on_checkpoint is not None:
+                                on_checkpoint(s_i, end, master)
                 next_index += 1
+            return sm
 
-        tasks = [
-            ShardTask(i, shard, seq, bkey)
-            for i, (shard, seq, bkey) in enumerate(zip(shards, seqs, keys))
-        ]
-        classes, prefetcher = self._plan_cache_traffic(tasks)
-        try:
-            done = 0
-            for task, (sm, segments) in dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                serial_body=lambda shard, seq, bkey: _run_stream_shard(
-                    acquisition, aes, n_samples, shard, seq,
-                    consumer_factory, chunk_size, boundaries,
-                    store=self.cache, key=bkey,
-                ),
-                pool_task=_stream_shard_task,
-                pool_initializer=_init_stream_worker,
-                pool_initargs=(
-                    acquisition, bytes(aes.key), n_samples,
-                    consumer_factory, chunk_size, boundaries,
-                    self._worker_cache(),
-                ),
-                classes=classes,
-            ):
-                metrics.shards.append(sm)
-                self._publish_after(task, sm)
-                pending[task.shard.index] = segments
-                fold_ready()
-                done += task.shard.size
-                self._emit("stream", done, n_traces, sm)
-        finally:
-            if prefetcher is not None:
-                prefetcher.stop()
-        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
-        return master
+        self._drive(
+            "stream", n_traces, shards, seqs, keys,
+            job={
+                "msa": msa, "aes": aes, "n_samples": n_samples,
+                "factory": consumer_factory, "chunk_size": chunk_size,
+                "boundaries": boundaries,
+            },
+            fold=fold,
+            events=events,
+        )
+        return masters
 
     def _replay_attack_states(
         self,
@@ -1691,11 +1373,11 @@ class Engine:
         snap_points: Sequence[int],
         state_keys: Dict[int, str],
         checkpoint_set: set,
-        on_checkpoint: Optional[Callable[[int, object], None]],
+        on_checkpoint: Optional[Callable[[int, int, object], None]],
         consumer_factory: Callable[[], object],
     ) -> Optional[object]:
-        """Serve a streamed campaign entirely from attack-state
-        snapshots.
+        """Serve a one-sensor streamed campaign entirely from
+        attack-state snapshots.
 
         Every snapshot is fetched (and digest-verified) *before* any
         checkpoint callback fires, so a damaged state file cannot leave
@@ -1728,149 +1410,27 @@ class Engine:
             t_state = time.perf_counter()
             block = blocks[end]
             master.load_state_arrays(block.arrays)
-            seconds = time.perf_counter() - t_state
             profile = StageProfile()
             profile.add(
-                "cache", seconds, nbytes=block.nbytes, items=end - done
+                "cache", time.perf_counter() - t_state,
+                nbytes=block.nbytes, items=end - done,
             )
-            sm = _shard_metrics(
+            sm = _shard_result(
                 Shard(index=index, start=done, stop=end),
                 profile,
                 state_start,
-                seconds,
-                "hit",
-                block.nbytes,
+                t_state,
+                _CacheIO(outcome=block.tier, bytes_read=block.nbytes),
             )
             metrics.shards.append(sm)
             done = end
             if end in checkpoint_set:
                 events.append(_checkpoint_event(end, master))
                 if on_checkpoint is not None:
-                    on_checkpoint(end, master)
+                    on_checkpoint(0, end, master)
             self._emit("stream", done, n_traces, sm)
         self._finish_metrics(metrics, t0, start, events)
         return master
-
-    # ------------------------------------------------------------------
-    def stream_attack_many(
-        self,
-        acquisitions: Union[MultiSensorAcquisition, Sequence[object]],
-        n_traces: int,
-        *,
-        key,
-        consumer_factory: Callable[[], object],
-        seed: SeedLike = 0,
-        n_samples: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        checkpoints: Sequence[int] = (),
-        on_checkpoint: Optional[Callable[[int, int, object], None]] = None,
-    ) -> List[object]:
-        """Fan-out counterpart of :meth:`stream_attack`: one victim
-        campaign folded into one accumulator *per sensor*.
-
-        ``consumer_factory`` is called once per sensor for the masters
-        (and per segment inside workers); ``on_checkpoint(sensor_index,
-        count, accumulator)`` fires per sensor at each checkpoint, in
-        sensor order within a checkpoint.  Each returned accumulator is
-        bit-identical to :meth:`stream_attack` over that sensor alone
-        with the same seed, at any worker count and chunk size.
-
-        Unlike :meth:`stream_attack`, fan-out streaming does *not*
-        memoize attack-state snapshots — the per-sensor trace blocks
-        themselves are cached (under single-sensor-compatible keys), so
-        a warm rerun replays acquisition from the store; only the
-        accumulation is repeated.
-        """
-        chunk_size = validate_chunk_size(chunk_size, allow_none=True)
-        boundaries = tuple(int(c) for c in checkpoints)
-        if list(boundaries) != sorted(set(boundaries)):
-            raise ConfigurationError("checkpoints must be strictly increasing")
-        if boundaries and not 0 < boundaries[0] <= boundaries[-1] <= n_traces:
-            raise ConfigurationError(
-                f"checkpoints must lie in 1..{n_traces}, got {boundaries}"
-            )
-        msa = self._as_multi(acquisitions)
-        aes = AES128(key)
-        if n_samples is None:
-            n_samples = msa.default_n_samples()
-        shards = plan_shards(n_traces, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        for acq in msa:
-            acq.sensor.precompute_moments()
-            acq.sensor.require_position()
-        keys = self._many_shard_keys(msa, shards, seqs, n_samples, aes)
-        if keys is None:
-            keys = [None] * len(shards)
-
-        masters = [consumer_factory() for _ in range(len(msa))]
-        checkpoint_set = set(boundaries)
-        pending: Dict[int, List[List[Tuple[int, object]]]] = {}
-        next_index = 0
-        events: List[SpanRecord] = []
-
-        metrics = EngineMetrics(
-            kind="stream_many",
-            n_items=n_traces,
-            n_shards=len(shards),
-            workers=min(self.workers, len(shards)),
-        )
-        start = time.time()
-        t0 = time.perf_counter()
-
-        def fold_ready() -> None:
-            """Merge completed shards in index order; per checkpoint,
-            fire every sensor's callback in sensor order."""
-            nonlocal next_index
-            while next_index in pending:
-                per_sensor = pending.pop(next_index)
-                ends = [end for end, _part in per_sensor[0]]
-                for pos, end in enumerate(ends):
-                    for s_i, segments in enumerate(per_sensor):
-                        masters[s_i].merge(segments[pos][1])
-                        if end in checkpoint_set:
-                            events.append(
-                                _checkpoint_event(end, masters[s_i], sensor=s_i)
-                            )
-                            if on_checkpoint is not None:
-                                on_checkpoint(s_i, end, masters[s_i])
-                next_index += 1
-
-        tasks = [
-            ShardTask(i, shard, seq, bkeys)
-            for i, (shard, seq, bkeys) in enumerate(zip(shards, seqs, keys))
-        ]
-        classes, prefetcher = self._plan_cache_traffic(tasks)
-        try:
-            done = 0
-            for task, (sm, per_sensor) in dispatch(
-                tasks,
-                workers=self.workers,
-                schedule=self.schedule,
-                serial_body=lambda shard, seq, bkeys: _run_stream_many_shard(
-                    msa, aes, n_samples, shard, seq,
-                    consumer_factory, chunk_size, boundaries,
-                    store=self.cache, keys=bkeys,
-                ),
-                pool_task=_stream_many_shard_task,
-                pool_initializer=_init_stream_many_worker,
-                pool_initargs=(
-                    msa, bytes(aes.key), n_samples,
-                    consumer_factory, chunk_size, boundaries,
-                    self._worker_cache(),
-                ),
-                classes=classes,
-            ):
-                metrics.shards.append(sm)
-                self._publish_after(task, sm)
-                pending[task.shard.index] = per_sensor
-                fold_ready()
-                done += task.shard.size
-                self._emit("stream_many", done, n_traces, sm)
-        finally:
-            if prefetcher is not None:
-                prefetcher.stop()
-        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
-        return masters
 
     # ------------------------------------------------------------------
     def characterize(
@@ -1885,47 +1445,12 @@ class Engine:
         noise: Optional[NoiseModel] = None,
     ) -> np.ndarray:
         """Sharded equivalent of :func:`repro.traces.acquisition.
-        characterize_readouts` (deterministic at any worker count)."""
-        droop = characterize_droop(sensor, coupling, virus, active_groups)
-        noise = noise or NoiseModel(white_rms=sensor.constants.voltage_noise_rms)
-        shards = plan_shards(n_readouts, self.shard_size)
-        seqs = spawn_shard_sequences(seed, len(shards))
-        token = None
-        if self.cache is not None:
-            token = {
-                "kind": "characterize",
-                "sensor": sensor.cache_token(),
-                "droop": float(droop),
-                "noise": noise.cache_token(),
-            }
-        keys = self._shard_keys(token, shards, seqs)
-
-        if self.workers == 1:
-            out = np.empty(n_readouts, dtype=np.int64)
-            self._drive(
-                "characterize", n_readouts, shards, seqs,
-                lambda shard, seq, bkey: _run_characterize_shard(
-                    sensor, droop, noise, shard, seq, out,
-                    store=self.cache, key=bkey,
-                ),
-                _characterize_shard_task, _init_characterize_worker, (),
-                keys=keys,
-            )
-            return out
-
-        buffers = _SharedBuffers({"out": ((n_readouts,), np.dtype(np.int64))})
-        try:
-            self._drive(
-                "characterize", n_readouts, shards, seqs,
-                lambda shard, seq, bkey: None,
-                _characterize_shard_task,
-                _init_characterize_worker,
-                (sensor, droop, noise, buffers.spec_for_worker, self._worker_cache()),
-                keys=keys,
-            )
-            return buffers.copy_out("out")
-        finally:
-            buffers.close()
+        characterize_readouts` (deterministic at any worker count; the
+        N=1 case of :meth:`characterize_many`)."""
+        return self.characterize_many(
+            [sensor], coupling, virus, active_groups, n_readouts,
+            seed=seed, noise=noise,
+        )[0]
 
     def characterize_many(
         self,
@@ -1938,19 +1463,19 @@ class Engine:
         seed: SeedLike = 0,
         noise: Optional[NoiseModel] = None,
     ) -> List[np.ndarray]:
-        """Fan-out counterpart of :meth:`characterize`: one readout
-        array per sensor from a single sharded campaign.
+        """One readout array per sensor from a single sharded campaign.
 
         Every sensor's row is bit-identical to :meth:`characterize`
         over that sensor alone with the same seed — inside a shard the
         RNG is restored to its entry state between sensors — and each
-        sensor's cache blocks use exactly its single-sensor key, so the
-        two paths share a warm store.  ``noise`` applies to all sensors
-        when given; otherwise each sensor gets its own white-noise
-        default from its constants (matching :meth:`characterize`).
+        sensor's cache blocks use exactly its single-sensor key, so
+        campaigns of any width share a warm store.  ``noise`` applies
+        to all sensors when given; otherwise each sensor gets its own
+        white-noise default from its constants.
         """
         if not sensors:
             raise ConfigurationError("characterize_many needs >= 1 sensor")
+        sensors = list(sensors)
         droops = [
             characterize_droop(sensor, coupling, virus, active_groups)
             for sensor in sensors
@@ -1975,35 +1500,10 @@ class Engine:
                 )
                 for sensor, droop, sensor_noise in zip(sensors, droops, noises)
             ]
-            keys = [tuple(shard_keys) for shard_keys in zip(*per_sensor)]
-
-        if self.workers == 1:
-            out = np.empty((len(sensors), n_readouts), dtype=np.int64)
-            self._drive(
-                "characterize_many", n_readouts, shards, seqs,
-                lambda shard, seq, bkeys: _run_characterize_many_shard(
-                    sensors, droops, noises, shard, seq, out,
-                    store=self.cache, keys=bkeys,
-                ),
-                _characterize_many_shard_task, _init_characterize_many_worker,
-                (),
-                keys=keys,
-            )
-            return [out[i] for i in range(len(sensors))]
-
-        buffers = _SharedBuffers(
-            {"out": ((len(sensors), n_readouts), np.dtype(np.int64))}
-        )
-        try:
-            self._drive(
-                "characterize_many", n_readouts, shards, seqs,
-                lambda shard, seq, bkeys: None,
-                _characterize_many_shard_task,
-                _init_characterize_many_worker,
-                (sensors, droops, noises, buffers.spec_for_worker, self._worker_cache()),
-                keys=keys,
-            )
-            out = buffers.copy_out("out")
-            return [out[i] for i in range(len(sensors))]
-        finally:
-            buffers.close()
+            keys = list(zip(*per_sensor))
+        out = self._drive(
+            "characterize", n_readouts, shards, seqs, keys,
+            job={"sensors": sensors, "droops": droops, "noises": noises},
+            outputs={"out": ((len(sensors), n_readouts), np.int64)},
+        )["out"]
+        return [out[i] for i in range(len(sensors))]

@@ -34,10 +34,13 @@ class ShardMetrics:
     #: The shard's span subtree: one child span per pipeline stage
     #: ("aes", "pdn", "sensor", "cache"), recorded by the worker.
     span: Optional[SpanRecord] = None
-    #: Block-cache outcome for this shard: ``"hit"`` (served from the
-    #: store), ``"miss"`` (acquired and published), ``"partial"`` (a
-    #: fan-out shard where some sensors' sub-blocks hit and the rest
-    #: were acquired) or ``""`` (cache off).
+    #: Block-cache outcome for this shard — the tier that served it:
+    #: ``"local"`` (every sensor's block from the local tier),
+    #: ``"remote"`` (every block served, at least one by a read-through
+    #: from the remote tier), ``"miss"`` (acquired and published),
+    #: ``"partial"`` (a fan-out shard where some sensors' sub-blocks
+    #: hit and the rest were acquired) or ``""`` (cache off).  Every
+    #: cache count of the engine derives from this one field.
     cache: str = ""
     #: Bytes read from plus bytes written to the block store.
     cache_nbytes: int = 0
@@ -46,8 +49,8 @@ class ShardMetrics:
     cache_bytes_read: int = 0
     cache_bytes_written: int = 0
     #: Fan-out sub-block outcomes: per-sensor lookups within a fan-out
-    #: shard (a full N-sensor hit counts N sub-hits; single-sensor
-    #: shards leave both at 0 — their outcome is :attr:`cache` alone).
+    #: shard (a full N-sensor hit counts N sub-hits; one-sensor shards
+    #: leave both at 0 — their outcome is :attr:`cache` alone).
     cache_sub_hits: int = 0
     cache_sub_misses: int = 0
 
@@ -150,26 +153,35 @@ class EngineMetrics:
         """Whether this run went through a block store."""
         return any(s.cache for s in self.shards)
 
+    def _outcomes(self, outcome: str) -> int:
+        return sum(1 for s in self.shards if s.cache == outcome)
+
     @property
     def cache_hits(self) -> int:
-        """Shards served from the block store."""
-        return sum(1 for s in self.shards if s.cache == "hit")
+        """Shards served whole by the local tier of the block store."""
+        return self._outcomes("local")
+
+    @property
+    def cache_remote_hits(self) -> int:
+        """Shards served whole, at least one block by a read-through
+        from the remote tier."""
+        return self._outcomes("remote")
 
     @property
     def cache_misses(self) -> int:
         """Shards acquired live (and published to the store)."""
-        return sum(1 for s in self.shards if s.cache == "miss")
+        return self._outcomes("miss")
 
     @property
     def cache_partial(self) -> int:
         """Fan-out shards where only some sensors' sub-blocks hit."""
-        return sum(1 for s in self.shards if s.cache == "partial")
+        return self._outcomes("partial")
 
     @property
     def cache_sub_hits(self) -> int:
-        """Per-sensor sub-block hits across all shards (distinct from
-        :attr:`cache_hits`, which counts whole shards where *every*
-        sensor hit)."""
+        """Per-sensor sub-block hits across all fan-out shards
+        (distinct from :attr:`cache_hits`, which counts whole shards
+        where *every* sensor hit)."""
         return sum(s.cache_sub_hits for s in self.shards)
 
     @property
@@ -178,12 +190,17 @@ class EngineMetrics:
         return sum(s.cache_sub_misses for s in self.shards)
 
     @property
+    def cache_served(self) -> int:
+        """Shards served whole from either tier."""
+        return self.cache_hits + self.cache_remote_hits
+
+    @property
     def cache_hit_rate(self) -> float:
-        """Full-shard hits over cache-visible shards (partially-hit
-        fan-out shards count as lookups, not hits; 0.0 with the cache
-        off)."""
-        lookups = self.cache_hits + self.cache_misses + self.cache_partial
-        return self.cache_hits / lookups if lookups else 0.0
+        """Full-shard hits (either tier) over cache-visible shards
+        (partially-hit fan-out shards count as lookups, not hits; 0.0
+        with the cache off)."""
+        lookups = self.cache_served + self.cache_misses + self.cache_partial
+        return self.cache_served / lookups if lookups else 0.0
 
     @property
     def cache_bytes_read(self) -> int:
@@ -204,9 +221,11 @@ class EngineMetrics:
         )
 
     @property
-    def cache_remote_hits(self) -> int:
-        """Blocks served by read-through from the remote tier."""
-        return self._span_counter_total("cache_remote_hits")
+    def store_remote_hits(self) -> int:
+        """Blocks the store read through from the remote tier (its own
+        counter — the cross-check of :attr:`cache_remote_hits`, equal
+        to it for one-sensor campaigns)."""
+        return self._span_counter_total("store_remote_hits")
 
     @property
     def cache_remote_misses(self) -> int:
@@ -257,11 +276,13 @@ class EngineMetrics:
         split = ", ".join(f"{k} {v:.2f}s" for k, v in sorted(stages.items()))
         cache = ""
         if self.cache_enabled:
-            lookups = self.cache_hits + self.cache_misses + self.cache_partial
+            lookups = self.cache_served + self.cache_misses + self.cache_partial
             cache = (
-                f"; cache {self.cache_hits}/{lookups}"
+                f"; cache {self.cache_served}/{lookups}"
                 f" hits ({self.cache_hit_rate:.0%})"
             )
+            if self.cache_remote_hits:
+                cache += f", {self.cache_remote_hits} remote"
             if self.cache_partial:
                 cache += (
                     f", {self.cache_partial} partial"

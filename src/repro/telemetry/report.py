@@ -98,9 +98,11 @@ class RunSummary:
             )
             out.append(f"  stages: {split}")
         if self.cache.get("enabled"):
+            served = self.cache["hits"] + self.cache.get("remote_hits", 0)
+            misses = self.cache["misses"] + self.cache.get("partial", 0)
             out.append(
-                f"  cache: {self.cache['hits']}/{self.cache['hits'] + self.cache['misses']}"
-                f" hits ({self.cache['hit_rate']:.0%}), "
+                f"  cache: {served}/{served + misses} hits"
+                f" ({self.cache['hit_rate']:.0%}), "
                 f"read {self.cache['bytes_read'] / 1e6:.1f}MB, "
                 f"written {self.cache['bytes_written'] / 1e6:.1f}MB"
             )

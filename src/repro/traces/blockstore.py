@@ -287,6 +287,9 @@ class CachedBlock:
     arrays: Dict[str, np.ndarray]
     nbytes: int
     meta: Dict[str, object] = field(default_factory=dict)
+    #: The tier that served this read: ``"local"``, or ``"remote"``
+    #: for a read-through a tiered store pulled over the wire first.
+    tier: str = "local"
 
     def materialize(self) -> Dict[str, np.ndarray]:
         """Private in-memory copies of every array (rarely needed —

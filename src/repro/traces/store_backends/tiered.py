@@ -208,6 +208,7 @@ class TieredStore(BlockStore):
             block = self._local_get(key, touch)
             if block is not None:
                 self.counters.bytes_read += block.nbytes
+                block.tier = "remote"
                 return block
             # Ingested and immediately evicted (cap far below one
             # block) — fall through to an honest miss.

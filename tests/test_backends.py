@@ -5,19 +5,17 @@ The load-bearing properties:
 * the registry is capability-probing — unavailable backends are listed
   but not selectable, and selecting one fails with the probe's reason;
 * backend selection composes: ``REPRO_BACKEND`` < ``activate_backend``
-  < an explicit ``--kernel``/``accumulate=`` override;
+  < an explicit ``accumulate=`` override, and the backend alone picks
+  the default acquisition kernel;
 * activating the ``numpy`` backend steers every seam to the pure-numpy
   oracle path (reference kernel, numpy fan-out sampler, per-byte CPA),
   and activation is reversible;
 * third-party registration is guarded (reserved names, duplicates,
   active backends);
 * the worker threadpool pinning never raises and honours
-  ``REPRO_BLAS_THREADS``;
-* when numba is present, its sampler and kernel are bit-identical to
-  the fused path (the differential contract every backend must meet).
+  ``REPRO_BLAS_THREADS``.
 """
 
-import importlib.util
 import os
 
 import numpy as np
@@ -37,24 +35,31 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.backends import threads as backend_threads
-from repro.backends import numba_backend
 from repro.errors import ConfigurationError, ReproError
-from repro.kernels import aes_trace, default_kernel_name
+from repro.kernels import default_kernel_name
 from repro.kernels import fanout
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 @pytest.fixture
 def restore_backend_state():
     """Snapshot and restore every piece of backend process state."""
     prev_active = backends._ACTIVE[0]
-    prev_default = aes_trace._DEFAULT_KERNEL
     prev_provider = fanout._SAMPLER_PROVIDER
     yield
     backends._ACTIVE[0] = prev_active
-    aes_trace._DEFAULT_KERNEL = prev_default
     fanout._SAMPLER_PROVIDER = prev_provider
+
+
+@pytest.fixture
+def unavailable_backend():
+    """A registered backend whose capability probe fails."""
+    backend = Backend(
+        name="needs-gpu", description="test", kernel="fused",
+        probe=lambda: "no GPU in this process",
+    )
+    register_backend(backend)
+    yield backend
+    unregister_backend(backend.name)
 
 
 # ----------------------------------------------------------------------
@@ -64,25 +69,21 @@ def restore_backend_state():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"fused", "numpy", "numba"} <= set(all_backends())
+        assert {"fused", "numpy"} <= set(all_backends())
 
     def test_always_available_backends(self):
         avail = available_backends()
         assert "fused" in avail and "numpy" in avail
 
-    def test_numba_availability_tracks_import(self):
-        assert ("numba" in available_backends()) == (
-            numba_backend.numba_unavailable_reason() is None
-        )
-
     def test_unknown_backend_names_registered(self):
         with pytest.raises(ConfigurationError, match="fused"):
             get_backend("cuda")
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_unavailable_backend_reports_reason(self):
-        with pytest.raises(ConfigurationError, match="numba is not installed"):
-            get_backend("numba")
+    def test_unavailable_backend_reports_reason(self, unavailable_backend):
+        assert "needs-gpu" in all_backends()
+        assert "needs-gpu" not in available_backends()
+        with pytest.raises(ConfigurationError, match="no GPU in this process"):
+            get_backend("needs-gpu")
 
     def test_errors_are_repro_errors(self):
         with pytest.raises(ReproError):
@@ -93,7 +94,7 @@ class TestRegistry:
             register_backend("fast")
 
     def test_register_rejects_reserved_names(self):
-        for name in ("fused", "numpy", "numba"):
+        for name in ("fused", "numpy"):
             with pytest.raises(ConfigurationError, match="reserved"):
                 register_backend(Backend(name=name, description="", kernel="fused"))
 
@@ -198,17 +199,14 @@ class TestSelection:
         assert default_kernel_name() == "fused"
         assert cpa_accumulate_mode() == "batched"
 
-    def test_explicit_kernel_overrides_backend(self, restore_backend_state):
-        activate_backend("numpy")
-        aes_trace.set_default_kernel("fused")
-        assert default_kernel_name() == "fused"  # finer-grained knob wins
-        assert active_backend_name() == "numpy"
-
-    def test_env_kernel_mapping(self):
+    def test_env_kernel_mapping(self, restore_backend_state, monkeypatch):
         # REPRO_BACKEND=numpy must reach the kernel default even in
         # freshly spawned processes that never call activate_backend.
-        assert aes_trace._ENV_BACKEND_KERNELS["numpy"] == "reference"
-        assert aes_trace._ENV_BACKEND_KERNELS["fused"] == "fused"
+        backends._ACTIVE[0] = None
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert default_kernel_name() == "reference"
+        monkeypatch.setenv("REPRO_BACKEND", "fused")
+        assert default_kernel_name() == "fused"
 
     def test_cli_flag_parses(self):
         from repro.cli import build_parser
@@ -231,16 +229,13 @@ class TestSelection:
         assert "unknown backend 'bogus'" in capsys.readouterr().err
 
     def test_cli_unavailable_backend_is_clean_error(
-        self, restore_backend_state, capsys
+        self, restore_backend_state, unavailable_backend, capsys
     ):
-        # --backend resolution errors (e.g. numba not installed) must go
-        # through the CLI's ReproError presentation, not a traceback.
-        from repro.backends.numba_backend import numba_unavailable_reason
+        # --backend resolution errors (e.g. a missing dependency) must
+        # go through the CLI's ReproError presentation, not a traceback.
         from repro.cli import main
 
-        if numba_unavailable_reason() is None:
-            pytest.skip("numba installed; no unavailable builtin to test")
-        assert main(["pdn-validation", "--backend", "numba"]) == 2
+        assert main(["pdn-validation", "--backend", "needs-gpu"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "unavailable" in err
@@ -300,65 +295,8 @@ class TestThreads:
 
 
 class TestNumbaBackend:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
-    def test_absent_numba_reports_not_installed(self):
-        assert numba_backend.numba_unavailable_reason() == "numba is not installed"
-        assert numba_backend.numba_sampler() is None
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed")
     def test_absent_numba_blocks_activation(self, restore_backend_state):
         with pytest.raises(ConfigurationError, match="numba"):
             activate_backend("numba")
         # Nothing was half-applied.
         assert active_backend_name() != "numba"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_sampler_passes_self_test(self):
-        from repro.kernels._csampler import _self_test
-
-        sampler = numba_backend.numba_sampler()
-        assert sampler is not None
-        assert _self_test(sampler)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_numba_kernel_bit_identical_to_fused(
-        self, basys3_device, restore_backend_state
-    ):
-        from repro.core.calibration import calibrate
-        from repro.core.leaky_dsp import LeakyDSP
-        from repro.fpga.placement import Pblock, Placer
-        from repro.pdn.coupling import CouplingModel
-        from repro.timing.sampling import ClockSpec
-        from repro.traces.acquisition import AESTraceAcquisition
-        from repro.victims.aes import AES128, AESHardwareModel
-
-        activate_backend("numba")
-        try:
-            coupling = CouplingModel(basys3_device)
-            placer = Placer(basys3_device)
-            sensor = LeakyDSP(device=basys3_device, seed=7)
-            sensor.place(
-                placer,
-                pblock=Pblock.from_region(basys3_device.region_by_name("X1Y0")),
-            )
-            calibrate(sensor, rng=0)
-            hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-
-            def acquire(kernel):
-                acq = AESTraceAcquisition(
-                    sensor, coupling, hw, (10.0, 25.0), kernel=kernel
-                )
-                aes = AES128(bytes(range(16)))
-                pts = np.random.default_rng(11).integers(
-                    0, 256, (256, 16), dtype=np.uint8
-                )
-                return acq.acquire_block(
-                    aes, pts, np.random.default_rng(11), acq.default_n_samples()
-                )
-
-            r_n, c_n = acquire("numba")
-            r_f, c_f = acquire("fused")
-            np.testing.assert_array_equal(r_n, r_f)
-            np.testing.assert_array_equal(c_n, c_f)
-        finally:
-            activate_backend("fused")

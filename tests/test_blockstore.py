@@ -6,6 +6,7 @@ cost.  Corruption must surface as a typed warning plus re-acquisition,
 never as a crash or silently wrong data.
 """
 
+import dataclasses
 import os
 import threading
 import warnings
@@ -20,11 +21,11 @@ from repro.core.calibration import calibrate
 from repro.core.leaky_dsp import LeakyDSP
 from repro.errors import CacheError, CacheIntegrityWarning
 from repro.fpga.placement import Pblock, Placer
-from repro.kernels import default_kernel_name, set_default_kernel
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
+from repro.runtime.sharding import plan_shards, spawn_shard_sequences
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.blockstore import (
     SCHEMA_VERSION,
     BlockStore,
@@ -51,7 +52,12 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(sensor, coupling, hw, (10.0, 25.0)).build()
+
+
+def with_kernel(acquisition, kernel):
+    """The same acquisition on an explicitly chosen kernel."""
+    return dataclasses.replace(acquisition.spec, kernel=kernel).build()
 
 
 def _first_block_path(store):
@@ -95,14 +101,8 @@ class TestCanonicalKeys:
     def test_kernel_is_not_part_of_the_acquisition_token(self, acquisition):
         """Kernels are bit-identical by construction, so a block
         acquired by one must serve all."""
-        default = default_kernel_name()
-        try:
-            set_default_kernel("reference")
-            ref_token = acquisition.cache_token()
-            set_default_kernel("fused")
-            fused_token = acquisition.cache_token()
-        finally:
-            set_default_kernel(default)
+        ref_token = with_kernel(acquisition, "reference").cache_token()
+        fused_token = with_kernel(acquisition, "fused").cache_token()
         assert block_key(ref_token) == block_key(fused_token)
 
 
@@ -378,16 +378,14 @@ class TestEngineCache:
         assert engine.cache_totals["misses"] == 9
 
     def test_blocks_shared_between_kernels(self, acquisition, tmp_path):
-        default = default_kernel_name()
-        try:
-            set_default_kernel("reference")
-            cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-            cold = cold_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-            set_default_kernel("fused")
-            warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
-            warm = warm_engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
-        finally:
-            set_default_kernel(default)
+        cold_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        cold = cold_engine.collect(
+            with_kernel(acquisition, "reference"), N_TRACES, key=KEY, seed=3
+        )
+        warm_engine = Engine(workers=1, shard_size=SHARD, cache=str(tmp_path))
+        warm = warm_engine.collect(
+            with_kernel(acquisition, "fused"), N_TRACES, key=KEY, seed=3
+        )
         assert warm_engine.last_metrics.cache_hits == 3
         np.testing.assert_array_equal(cold.traces, warm.traces)
 
@@ -596,6 +594,135 @@ class TestAttackStateSnapshots:
         )
         assert attack.cache_token() == clone.cache_token()
         assert attack.cache_token() != CPAAttack(12).cache_token()
+
+
+# ----------------------------------------------------------------------
+# Keys across versions: stores filled before single-sensor campaigns
+# became N=1 fan-outs stay warm
+# ----------------------------------------------------------------------
+
+
+class TestKeysAcrossVersions:
+    def test_store_filled_with_previous_keys_serves_fully_warm(
+        self, acquisition, tmp_path
+    ):
+        """Fill a store under the block and attack-state keys earlier
+        engines derived, by hand, then run today's engine against it:
+        every lookup must hit and every result match a live run."""
+        n_samples = acquisition.default_n_samples()
+        factory = partial(CPAAttack, n_samples)
+        live = Engine(workers=1, shard_size=SHARD).collect(
+            acquisition, N_TRACES, key=KEY, seed=3
+        )
+        live_attack = Engine(workers=1, shard_size=SHARD).stream_attack(
+            acquisition, N_TRACES, key=KEY, consumer_factory=factory, seed=3,
+            checkpoints=(200, 400),
+        )
+        store = BlockStore(tmp_path)
+        shards = plan_shards(N_TRACES, SHARD)
+        seqs = spawn_shard_sequences(3, len(shards))
+        keys = []
+        for shard, seq in zip(shards, seqs):
+            key = block_key(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "config": acquisition.cache_token(),
+                    "lineage": seed_lineage(seq),
+                    "block_items": shard.size,
+                    "n_samples": n_samples,
+                    "aes_key": KEY,
+                }
+            )
+            keys.append(key)
+            store.put(
+                key,
+                {
+                    "traces": live.traces[shard.slice],
+                    "pts": live.plaintexts[shard.slice],
+                    "cts": live.ciphertexts[shard.slice],
+                },
+                meta={"lineage": seed_lineage(seq), "block_items": shard.size},
+            )
+
+        engine = Engine(workers=1, shard_size=SHARD, cache=store)
+        warm = engine.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        assert engine.last_metrics.cache_hits == len(shards)
+        assert engine.last_metrics.cache_misses == 0
+        np.testing.assert_array_equal(warm.traces, live.traces)
+
+        # Streaming over the warm blocks publishes the attack states
+        # under the keys earlier engines used...
+        engine.stream_attack(
+            acquisition, N_TRACES, key=KEY, consumer_factory=factory, seed=3,
+            checkpoints=(200, 400),
+        )
+        assert engine.last_metrics.cache_misses == 0
+        for end, covering in ((200, 1), (400, 2), (600, 3)):
+            assert store.contains(
+                block_key(
+                    {
+                        "kind": "attack-state",
+                        "schema": SCHEMA_VERSION,
+                        "attack": factory().cache_token(),
+                        "blocks": keys[:covering],
+                        "n_traces": end,
+                    }
+                )
+            )
+        # ...and the next identical campaign replays from them alone.
+        replayed = engine.stream_attack(
+            acquisition, N_TRACES, key=KEY, consumer_factory=factory, seed=3,
+            checkpoints=(200, 400),
+        )
+        assert engine.last_metrics.n_shards == 3
+        assert engine.last_metrics.cache_hits == 3
+        np.testing.assert_array_equal(
+            replayed.correlations(), live_attack.correlations()
+        )
+
+    def test_characterize_store_filled_with_previous_keys(self, tmp_path):
+        from repro.experiments import common
+        from repro.pdn.noise import NoiseModel
+        from repro.traces.acquisition import characterize_droop
+
+        setup = common.Basys3Setup.create()
+        virus = common.make_virus(setup, n_instances=200, n_groups=4)
+        sensor = common.make_leakydsp(
+            setup, common.region_pblock(setup.device, 2), seed=9
+        )
+        live = Engine(workers=1, shard_size=SHARD).characterize(
+            sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+        )
+        token = {
+            "kind": "characterize",
+            "sensor": sensor.cache_token(),
+            "droop": characterize_droop(sensor, setup.coupling, virus, 2),
+            "noise": NoiseModel(
+                white_rms=sensor.constants.voltage_noise_rms
+            ).cache_token(),
+        }
+        store = BlockStore(tmp_path)
+        shards = plan_shards(500, SHARD)
+        for shard, seq in zip(shards, spawn_shard_sequences(5, len(shards))):
+            key = block_key(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "config": token,
+                    "lineage": seed_lineage(seq),
+                    "block_items": shard.size,
+                }
+            )
+            store.put(
+                key, {"readouts": live[shard.slice]},
+                meta={"lineage": seed_lineage(seq)},
+            )
+        engine = Engine(workers=1, shard_size=SHARD, cache=store)
+        warm = engine.characterize(
+            sensor, setup.coupling, virus, 2, n_readouts=500, seed=5
+        )
+        assert engine.last_metrics.cache_hits == len(shards)
+        assert engine.last_metrics.cache_misses == 0
+        np.testing.assert_array_equal(warm, live)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,9 @@ is purely a cost optimization — every per-sensor result is
 bit-identical to the N independent single-sensor runs it replaces, at
 every kernel, worker count and chunking.  Alongside the differential
 tests this module covers the :class:`AcquisitionSpec` construction
-path (including the deprecated positional shim), the
-:class:`MultiSensorAcquisition` validation rules, the engine's fan-out
-campaign methods, the per-sensor sub-block cache accounting, and the
-backend-registration seam.
+path, the :class:`MultiSensorAcquisition` validation rules, the
+engine's fan-out campaign methods and the per-sensor sub-block cache
+accounting.
 """
 
 import dataclasses
@@ -26,8 +25,6 @@ from repro.kernels import (
     FusedAcquisitionKernel,
     available_kernels,
     get_kernel,
-    register_kernel,
-    unregister_kernel,
 )
 from repro.kernels import fanout
 from repro.pdn.noise import NoiseModel
@@ -69,7 +66,7 @@ def fresh_rng(seed=0):
 
 
 # ----------------------------------------------------------------------
-# AcquisitionSpec and the deprecated positional shim
+# AcquisitionSpec construction
 # ----------------------------------------------------------------------
 
 
@@ -83,22 +80,16 @@ class TestAcquisitionSpec:
         assert also.sensor is specs[0].sensor
         assert acq.kernel is get_kernel(None)
 
-    def test_positional_construction_warns_and_matches_spec(self, specs):
+    def test_positional_construction_rejected(self, specs):
         spec = specs[0]
-        with pytest.warns(DeprecationWarning, match="AcquisitionSpec"):
-            legacy = AESTraceAcquisition(
+        with pytest.raises(TypeError):
+            AESTraceAcquisition(
                 spec.sensor, spec.coupling, spec.hw_model, spec.aes_position
             )
-        built = spec.build()
-        assert legacy.sensor is built.sensor
-        assert legacy.coupling is built.coupling
-        assert legacy.hw_model is built.hw_model
-        assert legacy.kernel is built.kernel
-        assert legacy.noise.cache_token() == built.noise.cache_token()
 
-    def test_keyword_construction_warns_too(self, specs):
+    def test_keyword_construction_rejected(self, specs):
         spec = specs[0]
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
             AESTraceAcquisition(
                 sensor=spec.sensor,
                 coupling=spec.coupling,
@@ -107,9 +98,9 @@ class TestAcquisitionSpec:
             )
 
     def test_spec_plus_args_rejected(self, specs):
-        with pytest.raises(TypeError, match="does not accept"):
+        with pytest.raises(TypeError):
             AESTraceAcquisition(specs[0].sensor, spec=specs[0])
-        with pytest.raises(TypeError, match="does not accept"):
+        with pytest.raises(TypeError):
             AESTraceAcquisition(spec=specs[0], kernel="fused")
 
     def test_spec_wrong_type_rejected(self):
@@ -444,55 +435,3 @@ class TestFanoutCache:
         bad.write_bytes(b"not a block at all")
         with pytest.raises(ValueError):
             peek_block_meta(bad)
-
-
-# ----------------------------------------------------------------------
-# Backend registration
-# ----------------------------------------------------------------------
-
-
-class TestKernelRegistry:
-    def test_register_and_use_custom_backend(self, specs):
-        class TracingKernel(FusedAcquisitionKernel):
-            name = "tracing"
-
-        registered = register_kernel(TracingKernel)
-        try:
-            assert registered == "tracing"
-            kernel = get_kernel("tracing")
-            assert isinstance(kernel, TracingKernel)
-            acq = dataclasses.replace(specs[0], kernel="tracing").build()
-            assert acq.kernel is kernel
-        finally:
-            unregister_kernel("tracing")
-        with pytest.raises(ConfigurationError):
-            get_kernel("tracing")
-
-    def test_builtin_names_are_reserved(self):
-        class Impostor(FusedAcquisitionKernel):
-            name = "fused"
-
-        with pytest.raises(ConfigurationError, match="reserved"):
-            register_kernel(Impostor)
-        with pytest.raises(ConfigurationError, match="built-in"):
-            unregister_kernel("fused")
-
-    def test_register_rejects_non_kernel(self):
-        with pytest.raises(ConfigurationError, match="subclass"):
-            register_kernel(dict)
-
-    def test_duplicate_registration_needs_replace(self):
-        class First(FusedAcquisitionKernel):
-            name = "dup-test"
-
-        class Second(FusedAcquisitionKernel):
-            name = "dup-test"
-
-        register_kernel(First)
-        try:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_kernel(Second)
-            register_kernel(Second, replace=True)
-            assert isinstance(get_kernel("dup-test"), Second)
-        finally:
-            unregister_kernel("dup-test")

@@ -36,14 +36,13 @@ from repro.kernels import (
     available_kernels,
     default_kernel_name,
     get_kernel,
-    set_default_kernel,
     step_response_basis,
     unit_boxcars,
 )
 from repro.pdn.coupling import CouplingModel
 from repro.runtime import Engine
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.victims.aes import AES128, AESHardwareModel
 
 KEY = bytes(range(16))
@@ -65,7 +64,7 @@ def rig(basys3_device):
 def make_acquisition(rig, kernel, aes_freq=20e6, sensor_freq=300e6):
     sensor, coupling = rig
     hw = AESHardwareModel(ClockSpec(aes_freq), ClockSpec(sensor_freq))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0), kernel=kernel)
+    return AcquisitionSpec(sensor, coupling, hw, (10.0, 25.0), kernel=kernel).build()
 
 
 # ----------------------------------------------------------------------
@@ -201,16 +200,17 @@ class TestKernelRegistry:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             get_kernel("vectorized")
-        with pytest.raises(ConfigurationError):
-            set_default_kernel("vectorized")
 
-    def test_set_default_round_trips(self):
-        previous = set_default_kernel("reference")
+    def test_default_follows_backend(self):
+        from repro import backends
+
+        previous = backends.activate_backend("numpy")
         try:
             assert default_kernel_name() == "reference"
             assert get_kernel(None).name == "reference"
         finally:
-            set_default_kernel(previous)
+            backends.activate_backend(previous)
+        assert default_kernel_name() == backends.active_backend().kernel
 
     def test_fused_kernel_pickles_without_caches(self, rig):
         acq = make_acquisition(rig, "fused")
@@ -280,12 +280,12 @@ class TestFusedMatchesReference:
         sensor, coupling = rig
         hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
         noise = NoiseModel(white_rms=1.6e-3, drift_rms=8e-6)
-        acq_f = AESTraceAcquisition(
+        acq_f = AcquisitionSpec(
             sensor, coupling, hw, (10.0, 25.0), noise=noise, kernel="fused"
-        )
-        acq_r = AESTraceAcquisition(
+        ).build()
+        acq_r = AcquisitionSpec(
             sensor, coupling, hw, (10.0, 25.0), noise=noise, kernel="reference"
-        )
+        ).build()
         aes = AES128(KEY)
         n_samples = acq_f.default_n_samples()
         pts = np.random.default_rng(5).integers(0, 256, (64, 16), dtype=np.uint8)
@@ -333,18 +333,6 @@ class TestFusedMatchesReference:
             results.append(attack.correlations())
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
-
-    def test_timings_dict_back_compat(self, rig):
-        acq = make_acquisition(rig, "fused")
-        aes = AES128(KEY)
-        pts = np.random.default_rng(0).integers(0, 256, (16, 16), dtype=np.uint8)
-        timings = {}
-        with pytest.warns(DeprecationWarning, match="span"):
-            acq.acquire_block(
-                aes, pts, np.random.default_rng(0), 60, timings=timings
-            )
-        assert {"aes", "pdn", "sensor"} <= set(timings)
-        assert all(v >= 0 for v in timings.values())
 
     def test_metadata_records_kernel(self, rig):
         assert make_acquisition(rig, "fused").trace_metadata(KEY)["kernel"] == "fused"
@@ -402,7 +390,7 @@ class TestSensorRangeGuard:
         hw = AESHardwareModel(
             ClockSpec(20e6), ClockSpec(300e6), constants=constants
         )
-        acq = AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0), kernel=kernel)
+        acq = AcquisitionSpec(sensor, coupling, hw, (10.0, 25.0), kernel=kernel).build()
         aes = AES128(KEY)
         pts = np.random.default_rng(0).integers(0, 256, (8, 16), dtype=np.uint8)
         with pytest.raises(SensorRangeError):

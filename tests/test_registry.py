@@ -87,18 +87,6 @@ class TestProtocolEntry:
         assert isinstance(result, registry.ExperimentResult)
         assert result.name == "pdn-validation"
 
-    def test_legacy_kwargs_warn_and_return_payload(self):
-        with pytest.warns(DeprecationWarning):
-            result = pdn_validation.run(nx=13, ny=13)
-        assert isinstance(result, pdn_validation.PdnValidationResult)
-
-    def test_bare_call_warns(self):
-        from repro.experiments import defense_study
-
-        with pytest.warns(DeprecationWarning):
-            result = defense_study.run(fence_sizes=(500,))
-        assert result.fence[0].n_instances == 500
-
     def test_config_plus_kwargs_rejected(self):
         with pytest.raises(TypeError):
             pdn_validation.run(registry.ExperimentConfig(), nx=13)

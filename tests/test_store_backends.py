@@ -35,7 +35,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.sharding import Shard
 from repro.timing.sampling import ClockSpec
-from repro.traces.acquisition import AESTraceAcquisition
+from repro.traces.acquisition import AcquisitionSpec
 from repro.traces.blockstore import BlockStore, open_store, verify_blob
 from repro.traces.store_backends import (
     CacheServer,
@@ -67,7 +67,7 @@ def acquisition(basys3_device):
     )
     calibrate(sensor, rng=0)
     hw = AESHardwareModel(ClockSpec(20e6), ClockSpec(300e6))
-    return AESTraceAcquisition(sensor, coupling, hw, (10.0, 25.0))
+    return AcquisitionSpec(sensor, coupling, hw, (10.0, 25.0)).build()
 
 
 @pytest.fixture()
@@ -491,6 +491,73 @@ class TestEngineSchedules:
             # Each shard's *read* is exactly one hit: local (prefetch
             # won) or remote (read-through won).
             assert b.cache_totals["hits"] + b.cache_totals["remote_hits"] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("winner", ["prefetch", "read-through"])
+    def test_prefetch_race_counts_each_shard_once(
+        self, acquisition, tmp_path, server, monkeypatch, workers, winner
+    ):
+        """Hold the prefetcher on an injected gate to force each order
+        of the prefetch / worker read-through race: every shard counts
+        exactly once, in the tier that served it, and the store's own
+        read-through counter agrees with the shard outcomes."""
+        from repro.runtime import engine as engine_module
+        from repro.telemetry.metrics import diff_snapshots, get_registry
+
+        reference = Engine(workers=1, shard_size=SHARD).collect(
+            acquisition, N_TRACES, key=KEY, seed=3
+        )
+        Engine(
+            workers=1, shard_size=SHARD,
+            cache=open_store(str(tmp_path / "a"), remote=server.url),
+        ).collect(acquisition, N_TRACES, key=KEY, seed=3)
+
+        gate = threading.Event()
+
+        class GatedPrefetcher(RemotePrefetcher):
+            def __init__(self, store, keys, threads=4):
+                super().__init__(store, keys, threads)
+                if winner == "prefetch":
+                    # Open the gate and let every fetch land before the
+                    # first shard is dispatched.
+                    gate.set()
+                    for thread in self._threads:
+                        thread.join()
+
+            def _run(self):
+                gate.wait()
+                super()._run()
+
+            def stop(self):
+                # The campaign is over: release the held threads with
+                # the stop flag already up, so they fetch nothing.
+                self._stop.set()
+                gate.set()
+                super().stop()
+
+        monkeypatch.setattr(engine_module, "RemotePrefetcher", GatedPrefetcher)
+        b = Engine(
+            workers=workers, shard_size=SHARD,
+            cache=open_store(str(tmp_path / "b"), remote=server.url),
+        )
+        before = get_registry().snapshot(deterministic_only=True)
+        warm = b.collect(acquisition, N_TRACES, key=KEY, seed=3)
+        lookups = diff_snapshots(
+            before, get_registry().snapshot(deterministic_only=True)
+        )["counters"]
+
+        np.testing.assert_array_equal(reference.traces, warm.traces)
+        totals, metrics = b.cache_totals, b.last_metrics
+        local, remote = (3, 0) if winner == "prefetch" else (0, 3)
+        assert (totals["hits"], totals["remote_hits"]) == (local, remote)
+        assert totals["misses"] == totals["partial"] == 0
+        assert totals["prefetch_fetched"] == local
+        assert metrics.store_remote_hits == remote
+        assert [s.cache for s in metrics.shards] == (
+            ["local"] * 3 if winner == "prefetch" else ["remote"] * 3
+        )
+        assert lookups['repro_cache_lookups_total{outcome="hit"}'] == 3
+        assert b.cache_hit_rate() == 1.0
 
     def test_static_schedule_matches_stealing_serially(
         self, acquisition, tmp_path
