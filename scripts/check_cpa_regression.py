@@ -3,10 +3,11 @@
 Reads the ``BENCH_cpa.json`` written by
 ``benchmarks/bench_cpa_throughput.py`` (which itself asserts the two
 engines' correlations bit-identical before reporting) and fails unless
-the batched stacked-GEMM engine beats the per-byte reference engine by
-at least ``--min-speedup`` on best-round accumulate throughput.  This
-is the regression gate for the batched hot path: a change that quietly
-collapses it back to per-byte speed turns this red instead of shipping.
+the batched engine (the native conditional-sum kernel) beats the
+per-byte reference engine by at least ``--min-speedup`` on best-round
+accumulate throughput.  This is the regression gate for the batched
+hot path: a change that quietly collapses it back to per-byte speed
+turns this red instead of shipping.
 
 Exits non-zero on a missing/stale report or an insufficient speedup.
 Used by CI's bench-quick job after the benchmark run::

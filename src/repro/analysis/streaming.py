@@ -517,15 +517,16 @@ class StackedStreamingPearson:
     hypothesis groups against one shared trace stream.
 
     The batched counterpart of ``n_groups`` separate
-    :class:`StreamingPearson` accumulators (one per CPA key byte):
-    a chunk is folded with **one** stacked GEMM over an
-    ``(m, n_groups * n_vars)`` hypothesis matrix instead of
-    ``n_groups`` small per-group GEMMs, and the trace sums live in one
-    :class:`SharedTraceMoments` instead of ``n_groups`` identical
-    copies.  Every sum is the exact integer-in-float64 quantity the
-    per-group accumulators keep, so the finalized correlations are
-    bit-identical to theirs for integer-valued inputs, at any chunk
-    size and merge order.
+    :class:`StreamingPearson` accumulators (one per CPA key byte): the
+    hypothesis sums of all groups live in one stacked state, and the
+    trace sums in one :class:`SharedTraceMoments` instead of
+    ``n_groups`` identical copies.  Chunks come in through
+    :meth:`update` (an ``(m, n_groups * n_vars)`` hypothesis matrix)
+    or as precomputed chunk sums through :meth:`fold_sums`.  Every sum
+    is the exact integer-in-float64 quantity the per-group
+    accumulators keep, so the finalized correlations are bit-identical
+    to theirs for integer-valued inputs, at any chunk size and merge
+    order.
     """
 
     def __init__(self, n_groups: int, n_vars: int, n_samples: int) -> None:
@@ -571,10 +572,10 @@ class StackedStreamingPearson:
     def fold_sums(self, m: int, s_x, s_x2, s_xy, s_y, s_y2) -> "StackedStreamingPearson":
         """Fold precomputed exact partial sums for ``m`` traces in.
 
-        The entry point for the gathered CPA hot path, which computes
-        the chunk sums in narrower dtypes (uint16/int32 hypothesis
-        sums, an exactness-guarded float32 GEMM) — the values must
-        equal what
+        The entry point of the CPA accumulate engines
+        (:mod:`repro.attacks.cpa`): the native conditional-sum kernel
+        computes a chunk's sums exactly in integer arithmetic, the
+        per-byte fallback in float64.  The values must equal what
         :meth:`update` would have accumulated; accumulation itself
         stays float64.
         """

@@ -17,87 +17,62 @@ inverted through the key schedule to the master key.
 
 The engine is *incremental*: it maintains the five running sums the
 correlation needs, so rank-vs-trace-count curves (Fig. 5/6) reuse all
-earlier work, and it is fully vectorized — hypotheses for all 256
-guesses of a byte come from one precomputed ``(256, 256, 256)`` lookup
-table (the numpy stand-in for the paper's GPU CPA tool [8]).
-
-Two accumulate engines drive the same exact sums (selected by the
-``accumulate=`` argument, defaulting through :mod:`repro.backends`):
+earlier work.  Two accumulate engines keep the same exact sums
+(selected by the ``accumulate=`` argument, defaulting through
+:mod:`repro.backends`):
 
 ``"batched"`` (default)
-    One chunk is folded with **one** stacked GEMM over an
-    ``(m, 16*256)`` hypothesis matrix gathered from a cached
-    guess-contiguous table, and the trace sums are computed once per
-    chunk in a shared accumulator instead of 16 times.  The hypothesis
-    sums are taken on the integer side (narrow exact sums over the
-    uint8 gather) and the cross GEMM runs in float32 whenever an
-    exactness bound
-    proves every partial sum is an integer below 2**24 — narrower
-    arithmetic, identical bits.
+    One chunk is folded by the native conditional-sum kernel
+    (:class:`repro.kernels._csampler.CpaKernel`).  With ``b =
+    ct[SHIFT_ROWS_IDX[j]]`` and ``a = InvSBox(ct[j] ^ g)``, the
+    hypothesis is ``h = HW(a) + HW(b) - 2 * sum_k a_k b_k`` and ``a``
+    depends only on ``(ct[j], g)``; so the chunk's sums over all 256
+    guesses are XOR-correlations over ``ct[j]`` of per-byte
+    conditional sums (traces keyed by ``ct[j]``, weighted by 1 and the
+    bits of ``b``), which a 256-point Walsh-Hadamard transform
+    evaluates exactly in integer arithmetic — standard conditional
+    averaging (Bottinelli & Bos, JCEN 2017).  The chunk sums go into
+    one :class:`~repro.analysis.streaming.StackedStreamingPearson`,
+    which shares the trace sums across the 16 key bytes.
 ``"per-byte"``
-    The legacy 16-small-GEMM engine over per-byte
-    :class:`~repro.analysis.streaming.StreamingPearson` accumulators.
-    Kept as the differential-testing oracle and benchmark baseline.
+    16 small GEMMs over per-byte :class:`~repro.analysis.streaming.
+    StreamingPearson` accumulators, hypotheses from one precomputed
+    ``(256, 256, 256)`` lookup table.  The differential-testing oracle,
+    and the one fallback of the batched engine: a chunk the kernel
+    cannot fold exactly (non-integer readouts, readouts past its int32
+    bound) or a process where the kernel is unavailable (no compiler,
+    failed self-test, the ``numpy`` backend) folds through the per-byte
+    sums into the same stacked state.
 
 Both engines keep the exact integer-in-float64 sums of the
 reproducibility contract, so correlations, key ranks and state
 snapshots are bit-identical between them at any chunk size or merge
 order — the property ``tests/test_cpa_batched.py`` pins down.
+:attr:`CPAAttack.fold_engines` records which engine folded an attack's
+chunks, for the run record.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
 from repro.analysis.streaming import StackedStreamingPearson, StreamingPearson
 from repro.backends import cpa_accumulate_mode
 from repro.errors import AttackError
+from repro.kernels._csampler import get_cpa_kernel
 from repro.traces.store import TraceSet
 from repro.victims.aes.core import SHIFT_ROWS_IDX
 from repro.victims.aes.key_schedule import invert_key_schedule
 from repro.victims.aes.sbox import HW8, INV_SBOX
 
 _HYP_TABLE: Optional[np.ndarray] = None
-_HYP_TABLE_GATHER: Optional[np.ndarray] = None
 
-#: Rows per internal tile of the batched engine: bounds the gather /
-#: GEMM scratch (~8 MB uint8 + ~16 MB float32) no matter how large a
-#: chunk callers feed, and keeps the working set near-cache-resident —
-#: measured faster than 2048/4096-row tiles on the bench campaign.
-#: Tiling is sum-exact, so it never changes a bit of the result.
-_BATCH_TILE_ROWS = 1024
-
-#: The float32 GEMM is used when every partial sum is provably an
-#: integer below this (2**24): float32 addition of exact integers in
-#: range is itself exact.
-_F32_EXACT_LIMIT = float(1 << 24)
-
-#: Largest hypothesis value (a Hamming weight of one byte).
-_MAX_HW = 8.0
-
-#: Process-wide scratch for the batched engine, shared by every
-#: :class:`CPAAttack` (engine workers build one attack per shard;
-#: per-instance buffers would re-fault ~25 MB of pages per shard).
-#: Buffers are grow-only, used only within one ``_add_traces_batched``
-#: call, and never carry state between calls, so sharing is safe even
-#: with interleaved attacks.
-_SCRATCH_POOL: dict = {}
-
-
-def _pool_array(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """A reusable scratch buffer of at least ``shape``, viewed to it."""
-    arr = _SCRATCH_POOL.get(name)
-    if arr is None or arr.ndim != len(shape) or any(
-        have < want for have, want in zip(arr.shape, shape)
-    ):
-        grown = shape if arr is None or arr.ndim != len(shape) else tuple(
-            max(have, want) for have, want in zip(arr.shape, shape)
-        )
-        arr = np.empty(grown, dtype=dtype)
-        _SCRATCH_POOL[name] = arr
-    return arr[tuple(slice(0, want) for want in shape)]
+#: Bounds of the native kernel's exact integer arithmetic (see
+#: :func:`_native_chunk_sums`).
+_INT32_LIMIT = 1 << 31
+_F64_EXACT_LIMIT = 1 << 53
 
 
 def hypothesis_table() -> np.ndarray:
@@ -113,24 +88,30 @@ def hypothesis_table() -> np.ndarray:
     return _HYP_TABLE
 
 
-def hypothesis_table_gather() -> np.ndarray:
-    """:func:`hypothesis_table` rearranged for the batched gather:
-    ``(ct_target * 256 + ct_partner, guess)``, guess-contiguous.
+def _native_chunk_sums(traces: np.ndarray, cts: np.ndarray):
+    """A chunk's exact sums ``(s_x, s_x2, s_xy, s_y, s_y2)`` from the
+    native kernel, or ``None`` when the kernel cannot fold it exactly.
 
-    Cached once per process.  One ``np.take`` over trace codes pulls a
-    whole ``(m, 16, 256)`` hypothesis block out of it with contiguous
-    256-entry row copies — the per-chunk rebuild-and-cast of the old
-    per-byte path is gone, and the float conversion happens once per
-    tile as a single bulk pass into a preallocated scratch buffer
-    (measured faster than gathering from a float64 view of the table,
-    which is 8x the bytes through the cache).
+    The kernel runs only on integer-valued chunks within its bound:
+    with ``P = max|t|``, ``m * max(P, 64) < 2**31`` keeps every
+    conditional sum and forward transform in int32, and ``m * P**2 <
+    2**53`` keeps ``s_y2`` — and so every sum — an exact float64
+    integer, as the per-byte engine's float64 sums are.
     """
-    global _HYP_TABLE_GATHER
-    if _HYP_TABLE_GATHER is None:
-        _HYP_TABLE_GATHER = np.ascontiguousarray(
-            hypothesis_table().transpose(1, 2, 0)
-        ).reshape(256 * 256, 256)
-    return _HYP_TABLE_GATHER
+    kernel = get_cpa_kernel()
+    if kernel is None or traces.dtype.kind not in "iuf":
+        return None
+    lo, hi = traces.min(), traces.max()
+    if traces.dtype.kind == "f" and not (
+        np.isfinite(lo) and np.isfinite(hi)
+        and np.array_equal(traces, np.floor(traces))
+    ):
+        return None
+    m = traces.shape[0]
+    peak = max(abs(int(lo)), abs(int(hi)))
+    if m * max(peak, 64) >= _INT32_LIMIT or m * peak * peak >= _F64_EXACT_LIMIT:
+        return None
+    return kernel.fold(traces, cts)
 
 
 class CPAAttack:
@@ -190,6 +171,11 @@ class CPAAttack:
                 )
             )
             self._byte_corr: Optional[list] = None
+            # Resolve (build, self-test) the kernel now: attacks are
+            # built in the parent before the engine forks its pool, so
+            # the workers inherit it instead of paying it on their
+            # first chunk.
+            get_cpa_kernel()
         else:
             self._stacked = None
             self._byte_corr = [
@@ -197,12 +183,25 @@ class CPAAttack:
                 for _ in range(self.N_BYTES)
             ]
         self._corr_cache: Optional[np.ndarray] = None
+        self._fold_engines: Set[str] = set()
 
     # -- pickling: keep shard result pipes slim ------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_corr_cache"] = None
+        del state["_fold_engines"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._fold_engines = set()
+
+    @property
+    def fold_engines(self) -> frozenset:
+        """The engines (``"native"``, ``"per-byte"``) that folded chunks
+        into this attack in this process, merged attacks included.  Not
+        pickled: a worker reports it in its ``accumulate`` span."""
+        return frozenset(self._fold_engines)
 
     @property
     def _window_size(self) -> int:
@@ -224,8 +223,7 @@ class CPAAttack:
     # ------------------------------------------------------------------
     def add_traces(self, traces: np.ndarray, ciphertexts: np.ndarray) -> None:
         """Accumulate a batch of traces and their ciphertexts."""
-        raw = np.asarray(traces)
-        traces = np.asarray(raw, dtype=np.float64)
+        traces = np.asarray(traces)
         cts = np.asarray(ciphertexts, dtype=np.uint8)
         if traces.ndim != 2 or traces.shape[1] != self.n_samples:
             raise AttackError(
@@ -239,85 +237,39 @@ class CPAAttack:
             traces = traces[:, self.sample_window[0] : self.sample_window[1]]
         self._corr_cache = None
         if self._stacked is not None:
-            self._add_traces_batched(
-                traces, cts, np.issubdtype(raw.dtype, np.integer)
-            )
-            return
-        table = hypothesis_table()
-        for j in range(self.N_BYTES):
-            partner = int(SHIFT_ROWS_IDX[j])
-            h = table[:, cts[:, j], cts[:, partner]]  # (256, m)
-            self._byte_corr[j].update(h.T, traces)
+            sums = _native_chunk_sums(traces, cts)
+            if sums is not None:
+                self._stacked.fold_sums(traces.shape[0], *sums)
+                self._fold_engines.add("native")
+                return
+        self._fold_per_byte(np.asarray(traces, dtype=np.float64), cts)
+        self._fold_engines.add("per-byte")
 
     #: Uniform accumulator-protocol alias used by the streaming engine.
     update = add_traces
 
-    # ------------------------------------------------------------------
-    # Batched accumulate engine
-    # ------------------------------------------------------------------
-    def _add_traces_batched(
-        self, traces: np.ndarray, cts: np.ndarray, integer_traces: bool
-    ) -> None:
-        """Fold one chunk with the stacked-GEMM engine.
-
-        Per row tile: gather the uint8 hypothesis block with one
-        ``np.take``, take the hypothesis sums on the integer side, bulk
-        convert once, and run one stacked GEMM against the (windowed)
-        traces.  Every folded quantity equals the per-byte engine's sum
-        bit for bit: hypothesis values and integer readouts make all
-        partial sums exact, so neither summation order nor narrow
-        accumulators (uint16/int32 hypothesis sums, the float32 GEMM
-        under the 2**24 bound) can change them.
-        """
-        m = traces.shape[0]
-        width = self.N_BYTES * self.N_GUESSES
-        partner = cts[:, SHIFT_ROWS_IDX]
-        table = hypothesis_table_gather()
-        stacked = self._stacked
-        window = self._window_size
-        for start in range(0, m, _BATCH_TILE_ROWS):
-            stop = min(start + _BATCH_TILE_ROWS, m)
-            rows = stop - start
-            # (rows, 16) flat table codes: ct_target * 256 + ct_partner.
-            codes = cts[start:stop].astype(np.int32)
-            codes <<= 8
-            codes |= partner[start:stop]
-            u8 = _pool_array("u8", (rows, self.N_BYTES, self.N_GUESSES), np.uint8)
-            np.take(table, codes, axis=0, out=u8)
-            # Exact narrow sums: per tile s_x <= 8*rows < 2**16 and
-            # s_x2 <= 64*rows < 2**31 (rows <= _BATCH_TILE_ROWS).
-            s_x = u8.sum(axis=0, dtype=np.uint16)
-            sq = _pool_array("sq", (rows, self.N_BYTES, self.N_GUESSES), np.uint8)
-            np.multiply(u8, u8, out=sq)  # HW <= 8, squares fit uint8
-            s_x2 = sq.sum(axis=0, dtype=np.int32)
-
-            y = traces[start:stop]
-            s_y = y.sum(axis=0)
-            s_y2 = np.einsum("ij,ij->j", y, y)
-
-            y_max = float(np.abs(y).max()) if y.size else 0.0
-            if integer_traces and rows * _MAX_HW * max(y_max, 1.0) < _F32_EXACT_LIMIT:
-                x = _pool_array("f32", (rows, width), np.float32)
-                np.copyto(
-                    x.reshape(rows, self.N_BYTES, self.N_GUESSES),
-                    u8,
-                    casting="unsafe",
-                )
-                s_xy = np.matmul(
-                    x.T, y.astype(np.float32),
-                    out=_pool_array("xy32", (width, window), np.float32),
-                )
-            else:
-                x = _pool_array("f64", (rows, width), np.float64)
-                np.copyto(
-                    x.reshape(rows, self.N_BYTES, self.N_GUESSES),
-                    u8,
-                    casting="unsafe",
-                )
-                s_xy = np.matmul(
-                    x.T, y, out=_pool_array("xy64", (width, window), np.float64)
-                )
-            stacked.fold_sums(rows, s_x, s_x2, s_xy, s_y, s_y2)
+    def _fold_per_byte(self, traces: np.ndarray, cts: np.ndarray) -> None:
+        """The per-byte engine: one ``(256, m)`` hypothesis block from
+        :func:`hypothesis_table` and one :class:`StreamingPearson`
+        update per key byte.  A batched attack folds the resulting
+        chunk sums into its stacked state — the same values, so the
+        fallback is bit-identical to a per-byte attack."""
+        table = hypothesis_table()
+        per_byte = self._byte_corr or [
+            StreamingPearson(self.N_GUESSES, self._window_size)
+            for _ in range(self.N_BYTES)
+        ]
+        for j, corr in enumerate(per_byte):
+            partner = int(SHIFT_ROWS_IDX[j])
+            corr.update(table[:, cts[:, j], cts[:, partner]].T, traces)
+        if self._stacked is not None:
+            dumps = [corr.state_arrays() for corr in per_byte]
+            self._stacked.fold_sums(
+                traces.shape[0],
+                *(np.stack([d[f] for d in dumps]) for f in ("s_x", "s_x2", "s_xy")),
+                dumps[0]["s_y"],
+                dumps[0]["s_y2"],
+            )
 
     def add_trace_set(self, trace_set: TraceSet, limit: Optional[int] = None) -> None:
         """Accumulate (the first ``limit`` traces of) a
@@ -348,6 +300,7 @@ class CPAAttack:
                 f"{self.accumulate!r}-engine attack"
             )
         self._corr_cache = None
+        self._fold_engines |= other._fold_engines
         if self._stacked is not None:
             self._stacked.merge(other._stacked)
         else:

@@ -1,20 +1,22 @@
 """Pluggable compute backends.
 
 A *backend* bundles the compute choices one campaign run makes — which
-acquisition kernel generates traces, which sensor-stage sampler runs
-the inner loop, and whether the CPA analysis path accumulates with the
-batched stacked-GEMM engine or the per-byte reference engine — behind
-one name, selected via ``backend=`` arguments, the CLI's ``--backend``
+acquisition kernel generates traces, whether the native library (the
+C sensor sampler and the conditional-sum CPA kernel of
+:mod:`repro.kernels._csampler`) may run, and whether CPA accumulates
+with the batched engine or the per-byte reference engine — behind one
+name, selected via ``backend=`` arguments, the CLI's ``--backend``
 flag, or the ``REPRO_BACKEND`` environment variable.
 
 Built-in backends:
 
 ``fused`` (default)
-    The production path: fused BLAS acquisition kernel (with the
-    optional C sampler), batched CPA accumulation.
+    The production path: fused BLAS acquisition kernel, the native
+    library when it built, batched CPA accumulation (the native
+    conditional-sum kernel, per-byte sums as its fallback).
 ``numpy``
-    The pure-numpy reference path: unfused ``reference`` kernel, numpy
-    fan-out sampling (the C sampler is bypassed), per-byte CPA
+    The pure-numpy reference path: unfused ``reference`` kernel, the
+    native library switched off (numpy fan-out sampling), per-byte CPA
     accumulation.  Kept as the differential-testing oracle — every
     other backend must match it bit for bit on integer inputs.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.backends.threads import pin_worker_threads, set_blas_threads
@@ -48,6 +50,7 @@ __all__ = [
     "active_backend_name",
     "all_backends",
     "available_backends",
+    "compute_record",
     "cpa_accumulate_mode",
     "default_backend_name",
     "get_backend",
@@ -68,7 +71,7 @@ class Backend:
     ``probe`` returns ``None`` when the backend can run in this
     process, or a human-readable reason string when it cannot.
     ``activate`` (optional) applies backend-specific process state —
-    steering the fan-out sampler seam — and is called by
+    the native-library switch — and is called by
     :func:`activate_backend` after the probe passes.
     """
 
@@ -90,16 +93,16 @@ class Backend:
 
 
 def _activate_numpy() -> None:
-    from repro.kernels import fanout
+    from repro.kernels import _csampler
 
-    # Pure-numpy everywhere: bypass the compiled C sampler too.
-    fanout.set_sampler_provider(lambda: None)
+    # Pure-numpy everywhere: bypass the native library too.
+    _csampler.ENABLED = False
 
 
 def _activate_fused() -> None:
-    from repro.kernels import fanout
+    from repro.kernels import _csampler
 
-    fanout.set_sampler_provider(None)  # default: C sampler when built
+    _csampler.ENABLED = True  # native kernels when they built
 
 
 _REGISTRY: Dict[str, Backend] = {}
@@ -146,7 +149,7 @@ def unregister_backend(name: str) -> None:
 
 _REGISTRY["fused"] = Backend(
     name="fused",
-    description="fused BLAS kernels + batched stacked-GEMM CPA (default)",
+    description="fused BLAS kernels + native conditional-sum CPA (default)",
     kernel="fused",
     cpa_accumulate="batched",
     activate=_activate_fused,
@@ -223,8 +226,8 @@ def activate_backend(name: str) -> str:
     """Make ``name`` the process-wide backend; returns the previous name.
 
     Applies the backend's process state: its acquisition kernel becomes
-    what ``kernel=None`` resolves to and its sampler choice steers the
-    fan-out seam.
+    what ``kernel=None`` resolves to and it sets the native-library
+    switch (:data:`repro.kernels._csampler.ENABLED`).
     """
     backend = get_backend(name)
     previous = active_backend_name()
@@ -255,3 +258,18 @@ def cpa_accumulate_mode(choice: Optional[str] = None) -> str:
             f"unknown backend {name!r}; registered: {', '.join(all_backends())}"
         )
     return backend.cpa_accumulate
+
+
+def compute_record(cpa_engines: Iterable[str] = ()) -> Dict[str, object]:
+    """What computed a run, for its record: the active backend, whether
+    the native library is built and enabled in this process
+    (:func:`repro.kernels._csampler.native_built`), and the CPA engines
+    that folded chunks — ``"native"``, ``"per-byte"``, both joined by
+    ``"+"``, or ``None`` when no CPA chunk was folded."""
+    from repro.kernels._csampler import native_built
+
+    return {
+        "backend": active_backend_name(),
+        "native_built": native_built(),
+        "cpa_engine": "+".join(sorted(set(cpa_engines))) or None,
+    }

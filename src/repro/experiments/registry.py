@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.analysis.streaming import validate_chunk_size
+from repro.backends import compute_record
 from repro.errors import ConfigurationError
 from repro.runtime import Engine, ProgressFn, validate_schedule
 
@@ -279,9 +280,11 @@ def run(
 
     The whole run is recorded as one ``run.<name>`` telemetry span on
     the engine's recorder; the engine campaigns the runner launches nest
-    under it.  With ``config.run_dir`` set, the manifest + JSONL run log
-    are written there afterwards; with ``config.trace_out`` set, the
-    span tree is exported as a Chrome/Perfetto trace.
+    under it.  ``metadata["compute"]`` (also on the run span) says what
+    computed the result: backend, native library, CPA engine.  With
+    ``config.run_dir`` set, the manifest + JSONL run log are written
+    there afterwards; with ``config.trace_out`` set, the span tree is
+    exported as a Chrome/Perfetto trace.
     """
     from repro.telemetry.metrics import diff_snapshots, get_registry
     from repro.telemetry.tracing import trace_scope
@@ -319,7 +322,9 @@ def run(
         "chunk_size": config.chunk_size,
         "schedule": engine.schedule,
         "options": dict(config.options),
+        "compute": compute_record(_cpa_engines(run_span)),
     }
+    run_span.attrs.update(metadata["compute"])
     cache = None
     if engine.cache is not None:
         # This experiment's own cache activity (the engine may be
@@ -342,6 +347,18 @@ def run(
     if config.run_dir or config.trace_out:
         _persist_run(name, config, engine, run_span, result, cache, metrics_delta)
     return result
+
+
+def _cpa_engines(span) -> set:
+    """The CPA engines named by the ``accumulate`` stage spans under
+    ``span`` (their worker-side :func:`~repro.backends.compute_record`)."""
+    engines = set()
+    for rec in span.children:
+        label = rec.attrs.get("cpa_engine") if rec.name == "accumulate" else None
+        if label:
+            engines.update(label.split("+"))
+        engines |= _cpa_engines(rec)
+    return engines
 
 
 def _cache_provenance(engine: Engine) -> Optional[Dict[str, Any]]:

@@ -19,8 +19,9 @@ interpolation (``dmu[ix]*frac + mu0[ix]`` as two roundings, never an
 FMA), ``draw * sigma + mu`` with sigma floored, and the half-even
 ``rint`` quantisation clipped to the sensor's output range.  Two
 implementations honour the contract: a single-pass C loop
-(:mod:`repro.kernels._csampler`, used when it compiled and
-self-tested) and the tiled numpy oracle :func:`_sample_numpy`.
+(:mod:`repro.kernels._csampler`, used when it compiled,
+self-tested and is enabled) and the tiled numpy oracle
+:func:`_sample_numpy`.
 
 The out-of-range check runs after sampling: a block that dips below
 the moments table raises :class:`~repro.errors.SensorRangeError`,
@@ -34,7 +35,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.sensor import check_table_range
-from repro.kernels._csampler import get_sampler as _get_csampler
+from repro.kernels._csampler import get_sampler
 
 #: Tile size of the numpy fallback.  Swept over 2**14..2**17 on the
 #: default campaign; 2**15 keeps every scratch buffer L2-resident while
@@ -52,28 +53,6 @@ def make_scratch(tile: int = FANOUT_TILE) -> Dict[str, np.ndarray]:
         "sg": np.empty(tile),
         "g": np.empty(tile),
     }
-
-
-#: Pluggable sampler provider (``None`` -> the default C sampler
-#: resolution).  :func:`repro.backends.activate_backend` points this at
-#: "nothing" for the pure-numpy reference backend.
-_SAMPLER_PROVIDER = None
-
-
-def set_sampler_provider(provider) -> None:
-    """Install a zero-argument callable returning a sampler (an object
-    with the :meth:`repro.kernels._csampler.CSampler.sample` interface)
-    or ``None`` for the tiled numpy path.  ``provider=None`` restores
-    the default C-sampler resolution."""
-    global _SAMPLER_PROVIDER
-    _SAMPLER_PROVIDER = provider
-
-
-def _active_sampler():
-    """Indirection point so tests and backends can steer the path."""
-    if _SAMPLER_PROVIDER is not None:
-        return _SAMPLER_PROVIDER()
-    return _get_csampler()
 
 
 def sample_sensor(
@@ -95,7 +74,7 @@ def sample_sensor(
     when the block dips below the sensor's moments table.
     """
     grid = interp.table[0]
-    sampler = _active_sampler()
+    sampler = get_sampler()
     if sampler is not None:
         vmin = sampler.sample(
             flat, noise, draw, offset, interp, sigma_floor,

@@ -95,12 +95,14 @@ class StageStats:
 
 
 class StageAccount:
-    """Handle yielded by :meth:`StageProfile.stage` for byte accounting."""
+    """Handle yielded by :meth:`StageProfile.stage` for byte accounting
+    and the stage span's identity attributes (``attrs``)."""
 
-    __slots__ = ("nbytes",)
+    __slots__ = ("nbytes", "attrs")
 
     def __init__(self) -> None:
         self.nbytes = 0
+        self.attrs: Dict[str, object] = {}
 
     def account(self, *arrays) -> None:
         """Record the ``nbytes`` of arrays materialized by the stage."""
@@ -158,6 +160,7 @@ class StageProfile:
                     name=name,
                     start=start,
                     seconds=time.perf_counter() - t0,
+                    attrs=acct.attrs,
                     counters={"nbytes": acct.nbytes, "items": items, "calls": 1},
                 )
             )

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.streaming import iter_chunk_slices, validate_chunk_size
+from repro.backends import compute_record
 from repro.backends.threads import pin_worker_threads
 from repro.core.sensor import VoltageSensor
 from repro.errors import CacheError, ConfigurationError
@@ -400,6 +401,10 @@ def _run_stream_shard(
     memory-mapped block — zero-copy: the trace matrix exists only as
     page-cache-backed views, exactly the peak-memory story of live
     streaming.
+
+    The ``accumulate`` stage span carries the worker's
+    :func:`~repro.backends.compute_record`: backend, native library,
+    and the CPA engines that folded the shard.
     """
     start, t0 = time.time(), time.perf_counter()
     snap = _remote_snapshot(store)
@@ -412,7 +417,8 @@ def _run_stream_shard(
     cuts = [b - shard.start for b in job["boundaries"] if shard.start < b < shard.stop]
     edges = [0, *cuts, shard.size]
     per_sensor: List[List[Tuple[int, object]]] = []
-    with profile.stage("accumulate", items=shard.size):
+    engines: set = set()
+    with profile.stage("accumulate", items=shard.size) as acct:
         for readouts in readouts_list:
             segments: List[Tuple[int, object]] = []
             for lo, hi in zip(edges, edges[1:]):
@@ -422,8 +428,10 @@ def _run_stream_shard(
                         readouts[lo + sl.start : lo + sl.stop],
                         shard_cts[lo + sl.start : lo + sl.stop],
                     )
+                engines.update(getattr(part, "fold_engines", ()))
                 segments.append((shard.start + hi, part))
             per_sensor.append(segments)
+        acct.attrs.update(compute_record(engines))
     return _shard_result(shard, profile, start, t0, io, store, snap), per_sensor
 
 

@@ -37,17 +37,17 @@ from repro.backends import (
 from repro.backends import threads as backend_threads
 from repro.errors import ConfigurationError, ReproError
 from repro.kernels import default_kernel_name
-from repro.kernels import fanout
+from repro.kernels import _csampler
 
 
 @pytest.fixture
 def restore_backend_state():
     """Snapshot and restore every piece of backend process state."""
     prev_active = backends._ACTIVE[0]
-    prev_provider = fanout._SAMPLER_PROVIDER
+    prev_enabled = _csampler.ENABLED
     yield
     backends._ACTIVE[0] = prev_active
-    fanout._SAMPLER_PROVIDER = prev_provider
+    _csampler.ENABLED = prev_enabled
 
 
 @pytest.fixture
@@ -193,10 +193,12 @@ class TestSelection:
         assert previous == "fused"
         assert active_backend_name() == "numpy"
         assert default_kernel_name() == "reference"
-        assert fanout._active_sampler() is None  # C sampler bypassed
+        assert _csampler.get_sampler() is None  # native library bypassed
+        assert _csampler.get_cpa_kernel() is None
         assert cpa_accumulate_mode() == "per-byte"
         assert activate_backend(previous) == "numpy"
         assert default_kernel_name() == "fused"
+        assert _csampler.ENABLED
         assert cpa_accumulate_mode() == "batched"
 
     def test_env_kernel_mapping(self, restore_backend_state, monkeypatch):
@@ -287,6 +289,70 @@ class TestThreads:
         # (static BLAS builds) but require the call to stay silent.
         report = backend_threads.set_blas_threads(1)
         assert isinstance(report, dict)
+
+
+# ----------------------------------------------------------------------
+# Compute record
+# ----------------------------------------------------------------------
+
+
+def _small_fig5(workers=1):
+    """A few-shard fig5 run; returns ``(result, run_span)``."""
+    from repro.experiments import registry
+
+    config = registry.ExperimentConfig(
+        scale="quick", seed=3, workers=workers, shard_size=600,
+        options={"n_traces": 1200, "step": 600, "rating_at": 600},
+    )
+    engine = config.make_engine()
+    result = registry.run("fig5", config, engine)
+    return result, engine.telemetry.roots[-1]
+
+
+def _accumulate_spans(span):
+    for rec in span.children:
+        if rec.name == "accumulate":
+            yield rec
+        yield from _accumulate_spans(rec)
+
+
+class TestComputeRecord:
+    def test_record_names_backend_library_and_engine(
+        self, restore_backend_state, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        backends._ACTIVE[0] = None
+        result, _ = _small_fig5()
+        native = _csampler.get_cpa_kernel() is not None
+        assert result.metadata["compute"] == {
+            "backend": "fused",
+            "native_built": _csampler.native_built(),
+            "cpa_engine": "native" if native else "per-byte",
+        }
+
+    def test_without_native_library_record_says_per_byte(
+        self, restore_backend_state, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        monkeypatch.setenv("REPRO_CSAMPLER", "0")
+        monkeypatch.setattr(_csampler, "_RESOLVED", {})
+        backends._ACTIVE[0] = None
+        result, run_span = _small_fig5(workers=2)
+        want = {"backend": "fused", "native_built": False, "cpa_engine": "per-byte"}
+        assert result.metadata["compute"] == want
+        # The run span and every worker's accumulate span say the same.
+        assert {k: run_span.attrs[k] for k in want} == want
+        spans = list(_accumulate_spans(run_span))
+        assert len(spans) == 2
+        assert all(rec.attrs == want for rec in spans)
+
+    def test_numpy_backend_record(self, restore_backend_state, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        activate_backend("numpy")
+        result, _ = _small_fig5()
+        assert result.metadata["compute"] == {
+            "backend": "numpy", "native_built": False, "cpa_engine": "per-byte",
+        }
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,27 @@
 """Differential tests for the batched CPA accumulate engine.
 
 The contract under test (see :mod:`repro.attacks.cpa`): the batched
-stacked-GEMM engine and the per-byte reference engine accumulate the
+engine — the native conditional-sum kernel, with the per-byte sums as
+its fallback — and the per-byte reference engine accumulate the
 **same exact sums**, so on integer-valued traces — the acquisition
-regime — correlations, peak correlations, guesses and ranks are
+regime — sums, correlations, peak correlations, guesses and ranks are
 bit-identical between engines for any chunking, merge order, sample
-window, or dtype-narrowing decision inside the batched tile loop; and
-state snapshots written by either engine restore into either engine.
+window, or fallback decision; and state snapshots written by either
+engine restore into either engine.
 """
 
 import numpy as np
 import pytest
 
-from repro.attacks.cpa import (
-    CPAAttack,
-    _BATCH_TILE_ROWS,
-    hypothesis_table,
-    hypothesis_table_gather,
-)
+from repro.attacks.cpa import CPAAttack
 from repro.errors import AttackError, ConfigurationError
+from repro.kernels import _csampler
+
+#: The engine a batched attack folds integer chunks with here.
+NATIVE = "native" if _csampler.get_cpa_kernel() is not None else "per-byte"
+needs_kernel = pytest.mark.skipif(
+    _csampler.get_cpa_kernel() is None, reason="native CPA kernel unavailable"
+)
 
 S = 23
 WINDOWS = [None, (0, S), (3, 17), (10, 11)]
@@ -39,18 +42,24 @@ def engines(window=None, **kwargs):
     )
 
 
-class TestGatherTable:
-    def test_matches_hypothesis_table(self):
-        gather = hypothesis_table_gather()
-        table = hypothesis_table()
-        assert gather.shape == (65536, 256) and gather.dtype == np.uint8
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            g, t, p = rng.integers(0, 256, 3)
-            assert gather[t * 256 + p, g] == table[g, t, p]
-
-    def test_cached_per_process(self):
-        assert hypothesis_table_gather() is hypothesis_table_gather()
+def assert_matches_oracle(traces, cts, window=None, engine=NATIVE):
+    """Fold one chunk with both engines: every accumulated sum (and the
+    correlations, when defined) must agree bit for bit, and the
+    batched attack must have folded it with ``engine``."""
+    n_samples = traces.shape[1]
+    fast = CPAAttack(n_samples, window, accumulate="batched")
+    ref = CPAAttack(n_samples, window, accumulate="per-byte")
+    fast.add_traces(traces, cts)
+    ref.add_traces(traces, cts)
+    assert fast.fold_engines == {engine}
+    want = CPAAttack(n_samples, window, accumulate="batched").load_state_arrays(
+        ref.state_arrays()
+    )
+    got_state, want_state = fast.state_arrays(), want.state_arrays()
+    for name, arr in want_state.items():
+        assert np.array_equal(got_state[name], arr), name
+    if len(traces) >= 2:
+        assert np.array_equal(fast.correlations(), ref.correlations())
 
 
 class TestBitIdentity:
@@ -87,36 +96,26 @@ class TestBitIdentity:
         assert np.array_equal(merged.correlations(), whole.correlations())
 
     def test_tile_boundary_crossing(self):
-        # A chunk larger than the internal tile exercises the
-        # multi-tile loop; identity must hold across the seam.
+        # The kernel tiles samples by 32 and buckets rows by ct[j]: 70
+        # samples give two full tiles and a ragged one, and 4097 rows
+        # fill every one of the 256 buckets.
         rng = np.random.default_rng(3)
-        m = _BATCH_TILE_ROWS + 257
-        traces = rng.integers(0, 1024, size=(m, S), dtype=np.int16)
-        cts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
-        a, b = engines()
-        a.add_traces(traces, cts)
-        b.add_traces(traces, cts)
-        assert np.array_equal(a.correlations(), b.correlations())
+        traces = rng.integers(0, 1024, size=(4097, 70), dtype=np.int16)
+        cts = rng.integers(0, 256, size=(4097, 16), dtype=np.uint8)
+        assert_matches_oracle(traces, cts)
 
     def test_integral_float_traces_bit_identical(self, batch):
         traces, cts = batch
-        a, b = engines()
-        # Integer-valued but float-typed: the f32 GEMM guard must see a
-        # non-integer dtype and take the float64 path — still exact.
-        a.add_traces(traces.astype(np.float64), cts)
-        b.add_traces(traces.astype(np.float64), cts)
-        assert np.array_equal(a.correlations(), b.correlations())
+        # Integer-valued but float-typed: the kernel takes it.
+        assert_matches_oracle(traces.astype(np.float64), cts)
 
     def test_large_readouts_force_f64_and_stay_identical(self):
-        # 8 * rows * max|y| >= 2**24 defeats the float32 exactness
-        # bound; the engine must fall back to the float64 GEMM.
+        # m * max|t| = 300 * 2**22 < 2**31: still the kernel, with
+        # per-sample sums far past float32 and int16 range.
         rng = np.random.default_rng(9)
         traces = rng.integers(-(2**22), 2**22, size=(300, S), dtype=np.int64)
         cts = rng.integers(0, 256, size=(300, 16), dtype=np.uint8)
-        a, b = engines()
-        a.add_traces(traces, cts)
-        b.add_traces(traces, cts)
-        assert np.array_equal(a.correlations(), b.correlations())
+        assert_matches_oracle(traces, cts)
 
     def test_non_integer_floats_agree_to_1e_10(self, batch):
         traces, cts = batch
@@ -127,6 +126,9 @@ class TestBitIdentity:
         np.testing.assert_allclose(
             a.correlations(), b.correlations(), rtol=0, atol=1e-10
         )
+        # Non-integer chunks fold through the per-byte sums themselves.
+        assert a.fold_engines == {"per-byte"}
+        assert np.array_equal(a.correlations(), b.correlations())
 
     def test_recovers_planted_key_like_reference(self):
         # Synthetic leakage: the hypothesis of the true key leaks into
@@ -153,6 +155,85 @@ class TestBitIdentity:
         assert np.array_equal(
             a.byte_ranks(key10), np.zeros(16, dtype=np.int64)
         )
+
+
+def random_chunk(seed, m, n_samples, lo=-64, hi=64, dtype=np.int16):
+    rng = np.random.default_rng(seed)
+    traces = rng.integers(lo, hi, size=(m, n_samples), dtype=dtype)
+    cts = rng.integers(0, 256, size=(m, 16), dtype=np.uint8)
+    return traces, cts
+
+
+class TestNativeKernel:
+    """The conditional-sum kernel's sums against the per-byte oracle."""
+
+    def test_campaign_shape(self):
+        assert_matches_oracle(*random_chunk(11, 4096, 195, 0, 48))
+
+    @pytest.mark.parametrize("m", [1, 4097])
+    def test_row_counts(self, m):
+        assert_matches_oracle(*random_chunk(m, m, 40))
+
+    def test_every_sample_window(self):
+        n = 9
+        traces, cts = random_chunk(12, 300, n, -100, 100)
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
+                assert_matches_oracle(traces, cts, (start, stop))
+
+    @pytest.mark.parametrize("window", [(0, 32), (31, 33), (5, 69), (64, 70)])
+    def test_windows_across_sample_tiles(self, window):
+        assert_matches_oracle(*random_chunk(13, 500, 70), window)
+
+    def test_negative_readouts(self):
+        assert_matches_oracle(*random_chunk(14, 700, S, -2048, 0))
+
+    def test_partner_bytes_zero_and_ff(self):
+        traces, _ = random_chunk(15, 600, S, -500, 500)
+        rng = np.random.default_rng(15)
+        cts = np.where(rng.random((600, 16)) < 0.5, 0x00, 0xFF).astype(np.uint8)
+        assert_matches_oracle(traces, cts)
+
+    def test_int32_guard(self):
+        # 512 rows of +-(2**22 - 1): m * max|t| = 2**31 - 512 and
+        # m * max|t|**2 < 2**53, so the kernel runs with every sum near
+        # its int32 bound; one more row crosses the guard and the chunk
+        # folds through the per-byte sums.
+        rng = np.random.default_rng(16)
+        traces = rng.choice([-1, 1], size=(513, 5)) * (2**22 - 1)
+        cts = rng.integers(0, 256, size=(513, 16), dtype=np.uint8)
+        assert_matches_oracle(traces[:512], cts[:512])
+        assert_matches_oracle(traces, cts, engine="per-byte")
+
+    @needs_kernel
+    def test_self_test_rejects_a_wrong_sum(self):
+        kernel = _csampler.get_cpa_kernel()
+
+        class WrongSum:
+            def fold(self, traces, cts):
+                sums = kernel.fold(traces, cts)
+                sums[2][3, 7, 1] += 1.0
+                return sums
+
+        assert _csampler._cpa_self_test(kernel)
+        assert not _csampler._cpa_self_test(WrongSum())
+
+    @needs_kernel
+    def test_rejected_kernel_falls_back_to_per_byte(self, monkeypatch, batch):
+        class WrongSum(_csampler.CpaKernel):
+            def fold(self, traces, cts):
+                sums = super().fold(traces, cts)
+                sums[0][0, 0] += 1.0
+                return sums
+
+        monkeypatch.setattr(_csampler, "CpaKernel", WrongSum)
+        monkeypatch.setattr(_csampler, "_RESOLVED", {})
+        assert _csampler.get_cpa_kernel() is None
+        assert_matches_oracle(*batch, engine="per-byte")
+
+    def test_disabled_library_falls_back_to_per_byte(self, monkeypatch, batch):
+        monkeypatch.setattr(_csampler, "ENABLED", False)
+        assert_matches_oracle(*batch, engine="per-byte")
 
 
 class TestStateMigration:

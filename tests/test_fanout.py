@@ -26,7 +26,7 @@ from repro.kernels import (
     available_kernels,
     get_kernel,
 )
-from repro.kernels import fanout
+from repro.kernels import _csampler
 from repro.pdn.noise import NoiseModel
 from repro.runtime import Engine
 from repro.traces.acquisition import (
@@ -224,7 +224,7 @@ class TestAcquireMany:
         pts = fresh_rng(11).integers(0, 256, size=(96, 16), dtype=np.uint8)
 
         with_c = multi.acquire_block_many(aes, pts, fresh_rng(5), n_samples)
-        monkeypatch.setattr(fanout, "_active_sampler", lambda: None)
+        monkeypatch.setattr(_csampler, "ENABLED", False)
         without_c = multi.acquire_block_many(aes, pts, fresh_rng(5), n_samples)
         for got, expected in zip(without_c, with_c):
             np.testing.assert_array_equal(got[0], expected[0])
