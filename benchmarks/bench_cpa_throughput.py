@@ -9,11 +9,15 @@ timed — ``batched`` (the native conditional-sum kernel) and
 are asserted bit-identical before the numbers are trusted.  The
 batched engine's first call in a process (kernel resolution: dlopen,
 tables, self-test) is timed on its own, since every pool worker pays
-it once.  Records machine-readable numbers (traces/second per engine,
-the batched speedup, the first call, correlation evaluations per
-second, peak RSS) in ``BENCH_cpa.json`` next to
-``BENCH_acquisition.json``; ``scripts/check_cpa_regression.py`` gates
-CI on the speedup.
+it once.  One checkpoint's key-rank evaluation
+(:func:`repro.attacks.metrics.evaluate_rank_point`: the fused peak pass
+plus the rank bounds, which a streamed campaign runs in the parent per
+sensor and checkpoint) is timed on the same 4096x195 attack state, split
+into its two parts.  Records machine-readable numbers (traces/second per
+engine, the batched speedup, the first call, correlation evaluations per
+second, the key-rank split, ``cpu_count``, peak RSS) in
+``BENCH_cpa.json`` next to ``BENCH_acquisition.json``;
+``scripts/check_cpa_regression.py`` gates CI on the speedup.
 """
 
 import json
@@ -27,11 +31,16 @@ import numpy as np
 import pytest
 
 from repro.attacks.cpa import CPAAttack, hypothesis_table
+from repro.attacks.key_rank import key_rank_bounds, scores_from_correlations
+from repro.attacks.metrics import evaluate_rank_point
 from repro.kernels import _csampler
+from repro.victims.aes.key_schedule import expand_key
 from conftest import full_scale, run_once
 
 N_TRACES, N_SAMPLES = 4096, 195
 N_ROUNDS = 10 if full_scale() else 6
+#: The last-round key the key-rank evaluations rank.
+TRUE_LAST_ROUND = expand_key(bytes(range(16)))[10]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_cpa.json"
 
 
@@ -81,14 +90,26 @@ def test_cpa_correlation_evaluation(benchmark, trace_batch):
     attack.add_traces(traces, cts)
 
     def correlate():
-        # Time the finalize, not the memo hits (attack + accumulator).
-        attack._corr_cache = None
+        # Time the finalize, not the accumulator's memo hit.
         attack._stacked._rho = None
         return attack.correlations()
 
     rho = benchmark(correlate)
     assert rho.shape == (16, 256, traces.shape[1])
     assert np.all(np.abs(rho) <= 1.0 + 1e-9)
+
+
+def test_cpa_rank_evaluation(benchmark, trace_batch):
+    traces, cts = trace_batch
+    attack = CPAAttack(traces.shape[1])
+    attack.add_traces(traces, cts)
+
+    def evaluate():
+        attack._derived.clear()  # time the peak pass, not the memo hit
+        return evaluate_rank_point(attack, TRUE_LAST_ROUND, attack.n_traces)
+
+    point = benchmark(evaluate)
+    assert 0.0 <= point.log2_lower <= point.log2_upper <= 128.0
 
 
 def test_cpa_throughput_report(benchmark, trace_batch):
@@ -135,11 +156,25 @@ def test_cpa_throughput_report(benchmark, trace_batch):
     assert np.array_equal(attack.correlations(), reference.correlations())
 
     def correlate():
-        attack._corr_cache = None
         attack._stacked._rho = None
         return attack.correlations()
 
     correlate_seconds = timed_rounds(correlate)
+
+    def peaks():
+        attack._derived.clear()
+        return attack.peak_correlations()
+
+    def evaluate():
+        attack._derived.clear()
+        return evaluate_rank_point(attack, TRUE_LAST_ROUND, attack.n_traces)
+
+    scores = scores_from_correlations(peaks(), attack.n_traces)
+    eval_seconds = timed_rounds(evaluate)
+    peak_seconds = timed_rounds(peaks)
+    bound_seconds = timed_rounds(lambda: key_rank_bounds(scores, TRUE_LAST_ROUND))
+    # The fused peak pass only counts if it equals the full stack's peak.
+    assert np.array_equal(peaks(), np.abs(attack.correlations()).max(axis=2))
 
     report = {
         "config": {
@@ -163,6 +198,13 @@ def test_cpa_throughput_report(benchmark, trace_batch):
             "best_seconds_per_eval": min(correlate_seconds),
             "evals_per_second": N_ROUNDS / sum(correlate_seconds),
         },
+        "key_rank": {
+            "seconds_per_eval": sum(eval_seconds) / N_ROUNDS,
+            "best_seconds_per_eval": min(eval_seconds),
+            "best_peaks_seconds": min(peak_seconds),
+            "best_bounds_seconds": min(bound_seconds),
+            "cpu_count": os.cpu_count(),
+        },
         "peak_rss_bytes": peak_rss_bytes(),
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
@@ -175,6 +217,9 @@ def test_cpa_throughput_report(benchmark, trace_batch):
         report["accumulate_per_byte"]["traces_per_second"]
     )
     benchmark.extra_info["first_call_ms"] = round(first_call * 1e3, 1)
+    benchmark.extra_info["key_rank_eval_ms"] = round(
+        report["key_rank"]["best_seconds_per_eval"] * 1e3, 2
+    )
     benchmark.extra_info["batched_speedup"] = round(
         report["batched_speedup"], 2
     )

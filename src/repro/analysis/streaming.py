@@ -380,6 +380,32 @@ class SharedTraceMoments:
 # ----------------------------------------------------------------------
 
 
+def _pearson_quotient(
+    n: int, s_x, s_x2, s_xy, s_y, s_y2, *, out=None, scratch=None
+) -> np.ndarray:
+    """``cov / sqrt(var_x * var_y)`` from the running sums: the Pearson
+    correlation of ``s_xy``'s leading axes against its last (samples)
+    axis, NaN (or ±inf) where a variance is zero.
+
+    The one copy of the expression behind every ``finalize`` and the
+    peak pass of :class:`StackedStreamingPearson`: elementwise IEEE
+    operations in a fixed order, so a group evaluated on its own (into
+    ``out``, with ``scratch`` of the same shape as working space) is
+    bit-identical to the same group inside a stacked evaluation.
+    """
+    n = float(n)
+    var_x = n * s_x2 - s_x**2
+    var_y = n * s_y2 - s_y**2
+    cov = np.multiply(n, s_xy, out=out)
+    cov -= np.multiply(s_x[..., None], s_y, out=scratch)
+    denom = np.multiply(
+        np.maximum(var_x[..., None], 0.0), np.maximum(var_y, 0.0), out=scratch
+    )
+    np.sqrt(denom, out=denom)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.divide(cov, denom, out=cov)
+
+
 class StreamingPearson:
     """One-pass Pearson correlation between hypothesis columns and
     trace samples.
@@ -497,16 +523,12 @@ class StreamingPearson:
             raise AttackError("need at least two rows to correlate")
         if self._rho is not None:
             return self._rho
-        n = float(self.n)
-        var_x = n * self._s_x2 - self._s_x**2
-        var_y = n * self._s_y2 - self._s_y**2
-        cov = n * self._s_xy - self._s_x[:, None] * self._s_y[None, :]
-        denom = np.sqrt(
-            np.maximum(var_x[:, None], 0.0) * np.maximum(var_y[None, :], 0.0)
+        rho = np.nan_to_num(
+            _pearson_quotient(
+                self.n, self._s_x, self._s_x2, self._s_xy, self._s_y, self._s_y2
+            ),
+            copy=False, nan=0.0,
         )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rho = cov / denom
-        rho = np.nan_to_num(rho, nan=0.0)
         rho.flags.writeable = False
         self._rho = rho
         return rho
@@ -649,31 +671,52 @@ class StackedStreamingPearson:
 
         Memoized until the next ``update``/``fold_sums``/``merge``/
         state load; the cached array is returned read-only.  Each group
-        slice is computed by the exact expression sequence of
-        :meth:`StreamingPearson.finalize`, so it is bit-identical to
+        slice is computed by the expression :meth:`StreamingPearson.
+        finalize` uses (one shared helper), so it is bit-identical to
         what a per-group accumulator holding the same sums would
-        return.
+        return.  Callers that only need the peak over samples should
+        use :meth:`peak_abs`, which never builds this stack.
         """
         if self.n < 2:
             raise AttackError("need at least two rows to correlate")
         if self._rho is not None:
             return self._rho
-        n = float(self.n)
-        s_y = self.traces._s
-        s_y2 = self.traces._s2
-        var_x = n * self._s_x2 - self._s_x**2
-        var_y = n * s_y2 - s_y**2
-        cov = n * self._s_xy - self._s_x[:, :, None] * s_y[None, None, :]
-        denom = np.sqrt(
-            np.maximum(var_x[:, :, None], 0.0)
-            * np.maximum(var_y[None, None, :], 0.0)
+        rho = np.nan_to_num(
+            _pearson_quotient(
+                self.n, self._s_x, self._s_x2, self._s_xy,
+                self.traces._s, self.traces._s2,
+            ),
+            copy=False, nan=0.0,
         )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rho = cov / denom
-        rho = np.nan_to_num(rho, nan=0.0)
         rho.flags.writeable = False
         self._rho = rho
         return rho
+
+    def peak_abs(self) -> np.ndarray:
+        """``|finalize()|`` maximized over samples: ``(n_groups,
+        n_vars)``, bit-identical to ``np.abs(self.finalize()).max(axis=2)``.
+
+        Evaluates the expression :meth:`finalize` uses one group at a
+        time into two reused ``(n_vars, n_samples)`` buffers, so the
+        full correlation stack is never built (nor memoized).  Undefined
+        correlations are NaN in the buffer; ``np.fmax`` skips them and
+        the final ``nan_to_num`` maps an all-undefined row (a
+        zero-variance hypothesis) to 0 — exactly ``max`` over the
+        ``nan_to_num``-ed samples.
+        """
+        if self.n < 2:
+            raise AttackError("need at least two rows to correlate")
+        s_y, s_y2 = self.traces._s, self.traces._s2
+        quotient = np.empty((self.n_vars, self.n_samples))
+        scratch = np.empty_like(quotient)
+        peaks = np.empty((self.n_groups, self.n_vars))
+        for g in range(self.n_groups):
+            _pearson_quotient(
+                self.n, self._s_x[g], self._s_x2[g], self._s_xy[g], s_y, s_y2,
+                out=quotient, scratch=scratch,
+            )
+            np.fmax.reduce(np.abs(quotient, out=quotient), axis=1, out=peaks[g])
+        return np.nan_to_num(peaks, copy=False, nan=0.0)
 
 
 # ----------------------------------------------------------------------

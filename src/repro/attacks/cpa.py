@@ -182,13 +182,13 @@ class CPAAttack:
                 StreamingPearson(self.N_GUESSES, self._window_size)
                 for _ in range(self.N_BYTES)
             ]
-        self._corr_cache: Optional[np.ndarray] = None
+        self._derived: dict = {}
         self._fold_engines: Set[str] = set()
 
     # -- pickling: keep shard result pipes slim ------------------------
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_corr_cache"] = None
+        state["_derived"] = {}
         del state["_fold_engines"]
         return state
 
@@ -235,7 +235,7 @@ class CPAAttack:
             raise AttackError("ciphertexts must be (m, 16)")
         if self.sample_window is not None:
             traces = traces[:, self.sample_window[0] : self.sample_window[1]]
-        self._corr_cache = None
+        self._derived.clear()
         if self._stacked is not None:
             sums = _native_chunk_sums(traces, cts)
             if sums is not None:
@@ -299,7 +299,7 @@ class CPAAttack:
                 f"cannot merge a {other.accumulate!r}-engine attack into a "
                 f"{self.accumulate!r}-engine attack"
             )
-        self._corr_cache = None
+        self._derived.clear()
         self._fold_engines |= other._fold_engines
         if self._stacked is not None:
             self._stacked.merge(other._stacked)
@@ -359,7 +359,7 @@ class CPAAttack:
         the per-byte engine (every pre-batched block store) replayable
         by batched attacks, and vice versa.
         """
-        self._corr_cache = None
+        self._derived.clear()
         if "s_xy" in arrays:
             stacked = self._as_stacked_arrays_noop(arrays)
         elif "b00_s_xy" in arrays:
@@ -437,29 +437,47 @@ class CPAAttack:
     # ------------------------------------------------------------------
     def correlations(self) -> np.ndarray:
         """Pearson correlation per (key byte, guess, sample):
-        ``(16, 256, window)``.
+        ``(16, 256, window)``, read-only.
 
-        Memoized until the next ``add_traces``/``merge``/state load —
-        checkpointed key-rank evaluations over unchanged state reuse
-        the finalized matrix instead of re-deriving it.  The cached
-        array is returned read-only.
+        Memoized until the next ``add_traces``/``merge``/state load (by
+        the stacked accumulator in batched mode; the per-byte engine
+        memoizes its stack of the per-byte matrices here).  Key rank
+        does not need the stack: it reads :meth:`peak_correlations`.
         """
         if self.n_traces < 2:
             raise AttackError("need at least two traces to correlate")
-        if self._corr_cache is not None:
-            return self._corr_cache
         if self._stacked is not None:
-            rho = self._stacked.finalize()
-        else:
+            return self._stacked.finalize()
+        if "rho" not in self._derived:
             rho = np.stack([corr.finalize() for corr in self._byte_corr])
             rho.flags.writeable = False
-        self._corr_cache = rho
-        return rho
+            self._derived["rho"] = rho
+        return self._derived["rho"]
 
     def peak_correlations(self) -> np.ndarray:
         """Per (byte, guess) |correlation| maximized over samples:
-        ``(16, 256)`` — the guess-ranking statistic."""
-        return np.abs(self.correlations()).max(axis=2)
+        ``(16, 256)`` — the guess-ranking statistic, read-only.
+
+        Bit-identical to ``np.abs(self.correlations()).max(axis=2)``,
+        but the batched engine computes it in one fused pass
+        (:meth:`~repro.analysis.streaming.StackedStreamingPearson.
+        peak_abs`) that never builds the ``(16, 256, window)`` stack.
+        Memoized until the next ``add_traces``/``merge``/state load, so
+        a checkpoint's key rank, best guesses and byte ranks share one
+        pass.
+        """
+        if self.n_traces < 2:
+            raise AttackError("need at least two traces to correlate")
+        if "peaks" not in self._derived:
+            if self._stacked is not None:
+                peaks = self._stacked.peak_abs()
+            else:
+                peaks = np.stack(
+                    [np.abs(corr.finalize()).max(axis=1) for corr in self._byte_corr]
+                )
+            peaks.flags.writeable = False
+            self._derived["peaks"] = peaks
+        return self._derived["peaks"]
 
     def best_guesses(self) -> np.ndarray:
         """The most-correlated guess of each last-round-key byte."""

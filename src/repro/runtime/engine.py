@@ -725,10 +725,12 @@ class Engine:
         start: float = 0.0,
         events: Sequence[SpanRecord] = (),
         prefetcher: Optional[RemotePrefetcher] = None,
+        counters: Optional[Dict[str, float]] = None,
     ) -> EngineMetrics:
         """Sort shards, stamp the wall clock, fold cache totals, and
         assemble the campaign span tree (shard-index order — identical
-        structure at any worker count).
+        structure at any worker count).  ``counters`` are added to the
+        campaign span's own ``items`` counter.
 
         With a tiered store this also drains the write-behind publish
         queue (so a campaign *returns* only once every missed block is
@@ -770,7 +772,7 @@ class Engine:
                 "workers": metrics.workers,
                 "schedule": self.schedule,
             },
-            counters={"items": metrics.n_items},
+            counters={"items": metrics.n_items, **(counters or {})},
             children=[s.span for s in metrics.shards if s.span is not None]
             + extra,
         )
@@ -969,6 +971,7 @@ class Engine:
         outputs: Optional[Dict[str, Tuple[Tuple[int, ...], type]]] = None,
         fold: Optional[Callable[[ShardTask, object], ShardMetrics]] = None,
         events: List[SpanRecord] = (),
+        counters: Optional[Dict[str, float]] = None,
     ) -> Dict[str, np.ndarray]:
         """Run one campaign's shard plan serially or on a pool.
 
@@ -976,7 +979,9 @@ class Engine:
         result buffers the bodies write (``{label: (shape, dtype)}`` —
         plain arrays serially, shared memory on a pool).  ``fold``
         consumes each raw shard result in the parent and returns its
-        metrics (the streaming merge).  Returns the output arrays.
+        metrics (the streaming merge); ``events`` and ``counters`` (which
+        ``fold`` may fill in) go on the campaign span.  Returns the
+        output arrays.
         """
         if keys is None:
             keys = [None] * len(shards)
@@ -1042,7 +1047,9 @@ class Engine:
                 prefetcher.stop()
             if buffers is not None:
                 buffers.close()
-        self._finish_metrics(metrics, t0, start, events, prefetcher=prefetcher)
+        self._finish_metrics(
+            metrics, t0, start, events, prefetcher=prefetcher, counters=counters
+        )
         return arrays
 
     def _acquisition_plan(
@@ -1251,6 +1258,11 @@ class Engine:
         sensor alone with the same seed, at any worker count and chunk
         size.
 
+        The campaign's ``engine.stream`` span carries the counter
+        ``checkpoint_callback_s``: the seconds the parent spent inside
+        ``on_checkpoint`` (key rank, for the attack curves) while
+        completed shards waited to be folded.
+
         Attack-state snapshots are memoized for campaigns of one sensor
         starting from fresh accumulators.  Wider campaigns cache only
         their per-sensor trace blocks (under single-sensor-compatible
@@ -1309,12 +1321,22 @@ class Engine:
                             "n_traces": end,
                         }
                     )
+        # Parent-side time inside the checkpoint callbacks (key rank):
+        # completed shards wait while they run.
+        counters = {"checkpoint_callback_s": 0.0}
+
+        def checkpoint(s_i: int, end: int, master: object) -> None:
+            if on_checkpoint is not None:
+                t_cb = time.perf_counter()
+                on_checkpoint(s_i, end, master)
+                counters["checkpoint_callback_s"] += time.perf_counter() - t_cb
+
         if state_keys and all(
             self.cache.contains(k) for k in state_keys.values()
         ):
             replayed = self._replay_attack_states(
                 n_traces, snap_points, state_keys,
-                set(boundaries), on_checkpoint, consumer_factory,
+                set(boundaries), checkpoint, counters, consumer_factory,
             )
             if replayed is not None:
                 return [replayed]
@@ -1358,8 +1380,7 @@ class Engine:
                                     sensor=s_i if n_sensors > 1 else None,
                                 )
                             )
-                            if on_checkpoint is not None:
-                                on_checkpoint(s_i, end, master)
+                            checkpoint(s_i, end, master)
                 next_index += 1
             return sm
 
@@ -1372,6 +1393,7 @@ class Engine:
             },
             fold=fold,
             events=events,
+            counters=counters,
         )
         return masters
 
@@ -1381,7 +1403,8 @@ class Engine:
         snap_points: Sequence[int],
         state_keys: Dict[int, str],
         checkpoint_set: set,
-        on_checkpoint: Optional[Callable[[int, int, object], None]],
+        on_checkpoint: Callable[[int, int, object], None],
+        counters: Dict[str, float],
         consumer_factory: Callable[[], object],
     ) -> Optional[object]:
         """Serve a one-sensor streamed campaign entirely from
@@ -1391,7 +1414,8 @@ class Engine:
         checkpoint callback fires, so a damaged state file cannot leave
         callbacks half-replayed: on any missing or damaged snapshot this
         returns ``None`` and the caller streams normally, republishing
-        snapshots as it goes.
+        snapshots as it goes.  ``on_checkpoint`` is the caller's timed
+        callback; ``counters``, which it fills, go on the campaign span.
         """
         blocks = {}
         for end in snap_points:
@@ -1434,10 +1458,9 @@ class Engine:
             done = end
             if end in checkpoint_set:
                 events.append(_checkpoint_event(end, master))
-                if on_checkpoint is not None:
-                    on_checkpoint(0, end, master)
+                on_checkpoint(0, end, master)
             self._emit("stream", done, n_traces, sm)
-        self._finish_metrics(metrics, t0, start, events)
+        self._finish_metrics(metrics, t0, start, events, counters=counters)
         return master
 
     # ------------------------------------------------------------------

@@ -65,6 +65,9 @@ class RunSummary:
     stage_seconds: Dict[str, float]
     cache: Dict[str, Any]
     n_checkpoints: int = 0
+    #: Parent-side seconds inside streamed campaigns' checkpoint
+    #: callbacks (the engine spans' ``checkpoint_callback_s``).
+    checkpoint_callback_seconds: float = 0.0
     #: Live-registry histogram deltas from the run's
     #: ``metrics_snapshot`` event (series -> snapshot histogram dict).
     histograms: Dict[str, Any] = field(default_factory=dict)
@@ -107,7 +110,10 @@ class RunSummary:
                 f"written {self.cache['bytes_written'] / 1e6:.1f}MB"
             )
         if self.n_checkpoints:
-            out.append(f"  checkpoints: {self.n_checkpoints}")
+            out.append(
+                f"  checkpoints: {self.n_checkpoints}, callbacks "
+                f"{self.checkpoint_callback_seconds:.2f}s in the parent"
+            )
         for series in sorted(self.histograms):
             if _is_latency_series(series) and self.histograms[series].get("count"):
                 quantiles = self.quantiles(series)
@@ -143,7 +149,9 @@ def summarize(run: Union[str, Path, RunRecord]) -> RunSummary:
         else {}
     )
     stage_seconds: Dict[str, float] = {}
+    callback_seconds = 0.0
     for event in record.spans:
+        callback_seconds += event["counters"].get("checkpoint_callback_s", 0.0)
         if event.get("leaf"):
             name = event["name"]
             stage_seconds[name] = stage_seconds.get(name, 0.0) + event["seconds"]
@@ -163,6 +171,7 @@ def summarize(run: Union[str, Path, RunRecord]) -> RunSummary:
         stage_seconds=stage_seconds,
         cache={k: v for k, v in cache.items() if k not in ("type", "schema")},
         n_checkpoints=len(record.of_type("checkpoint")),
+        checkpoint_callback_seconds=callback_seconds,
         histograms=histograms,
     )
 

@@ -366,3 +366,110 @@ class TestCorrelationCache:
         fresh = CPAAttack(S)
         fresh.add_traces(traces, cts)
         assert np.array_equal(cached, fresh.correlations())
+
+
+class TestPeakCorrelations:
+    """``peak_correlations()`` (the batched engine's fused peak pass,
+    the per-byte engine's per-byte maxima) equals the peak of the full
+    correlation stack bit for bit, and its memo follows the state."""
+
+    @staticmethod
+    def assert_peaks_match_stack(attack):
+        peaks = attack.peak_correlations()
+        assert peaks.shape == (16, 256)
+        assert not peaks.flags.writeable
+        assert np.array_equal(peaks, np.abs(attack.correlations()).max(axis=2))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_matches_stack_both_engines(self, batch, window):
+        traces, cts = batch
+        for attack in engines(window):
+            attack.add_traces(traces, cts)
+            self.assert_peaks_match_stack(attack)
+
+    def test_engines_agree(self, batch):
+        traces, cts = batch
+        a, b = engines((3, 17))
+        a.add_traces(traces, cts)
+        b.add_traces(traces, cts)
+        assert np.array_equal(a.peak_correlations(), b.peak_correlations())
+
+    def test_zero_variance_hypotheses(self, batch):
+        # One ciphertext for every trace: every guess's hypothesis is
+        # constant, so every correlation is undefined (finalized to 0).
+        traces, cts = batch
+        same = np.repeat(cts[:1], len(cts), axis=0)
+        for attack in engines():
+            attack.add_traces(traces, same)
+            self.assert_peaks_match_stack(attack)
+            assert not attack.peak_correlations().any()
+
+    def test_zero_variance_sample_and_guess_row(self, batch):
+        from repro.analysis.streaming import StackedStreamingPearson
+
+        traces, _ = batch
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 9, size=(len(traces), 3 * 8)).astype(float)
+        x[:, 5] = 4.0  # one constant hypothesis: an all-undefined row
+        y = traces.astype(float)
+        y[:, 2] = 7.0  # one constant sample: an undefined column
+        acc = StackedStreamingPearson(3, 8, S).update(x, y)
+        peaks = acc.peak_abs()
+        assert np.array_equal(peaks, np.abs(acc.finalize()).max(axis=2))
+        assert peaks[0, 5] == 0.0 and np.all(peaks[np.arange(3) != 0] > 0)
+
+    def test_after_merge_and_state_load(self, batch):
+        traces, cts = batch
+        for mode in ("batched", "per-byte"):
+            merged = CPAAttack(S, accumulate=mode)
+            merged.add_traces(traces[:300], cts[:300])
+            other = CPAAttack(S, accumulate=mode)
+            other.add_traces(traces[300:], cts[300:])
+            merged.merge(other)
+            self.assert_peaks_match_stack(merged)
+            loaded = CPAAttack(S, accumulate=mode).load_state_arrays(
+                merged.state_arrays()
+            )
+            self.assert_peaks_match_stack(loaded)
+            assert np.array_equal(
+                loaded.peak_correlations(), merged.peak_correlations()
+            )
+
+    def test_memo_reused_and_invalidated(self, batch):
+        traces, cts = batch
+        for mode in ("batched", "per-byte"):
+            full = CPAAttack(S, accumulate=mode)
+            full.add_traces(traces, cts)
+
+            attack = CPAAttack(S, accumulate=mode)
+            attack.add_traces(traces[:200], cts[:200])
+            first = attack.peak_correlations()
+            assert attack.peak_correlations() is first
+
+            attack.add_traces(traces[200:400], cts[200:400])
+            after_add = attack.peak_correlations()
+            assert after_add is not first
+            assert not np.array_equal(after_add, first)
+            self.assert_peaks_match_stack(attack)
+
+            rest = CPAAttack(S, accumulate=mode)
+            rest.add_traces(traces[400:], cts[400:])
+            after_merge = attack.merge(rest).peak_correlations()
+            assert after_merge is not after_add
+            assert np.array_equal(after_merge, full.peak_correlations())
+
+            attack.load_state_arrays(rest.state_arrays())
+            after_load = attack.peak_correlations()
+            assert np.array_equal(after_load, rest.peak_correlations())
+            assert not np.array_equal(after_load, after_merge)
+
+    def test_pickled_attack_recomputes(self, batch):
+        import pickle
+
+        traces, cts = batch
+        attack = CPAAttack(S)
+        attack.add_traces(traces, cts)
+        peaks = attack.peak_correlations()
+        clone = pickle.loads(pickle.dumps(attack))
+        assert clone._derived == {}
+        assert np.array_equal(clone.peak_correlations(), peaks)

@@ -156,3 +156,34 @@ class TestPlacementIntegration:
         s = LeakyDSP(device=basys3_device, seed=3)
         with pytest.raises(ConfigurationError):
             s.require_position()
+
+
+class TestBitOffsets:
+    """The settle-time ramp uses ``scipy.special.ndtri`` (whose import
+    does not load ``scipy.stats``); it must equal the
+    ``scipy.stats.norm.ppf`` ramp it replaced bit for bit."""
+
+    def test_build_bit_offsets_unchanged(self, sensor):
+        from scipy import stats
+
+        from repro.config import make_rng
+        from repro.core.leaky_dsp import PROCESS_JITTER_FRACTION
+
+        n = sensor.output_width
+        c = sensor.constants
+        sigma = c.dsp_bit_spread * c.dsp_block_delay
+        for seed in (0, 1, 7):
+            ramp = sigma * stats.norm.ppf((np.arange(n) + 0.5) / n)
+            jitter = make_rng(seed).normal(
+                0.0, PROCESS_JITTER_FRACTION * sigma, size=n
+            )
+            got = sensor._build_bit_offsets(make_rng(seed))
+            assert np.array_equal(got, ramp + jitter)
+
+    def test_ndtri_matches_norm_ppf_on_quantile_grids(self):
+        from scipy import stats
+        from scipy.special import ndtri
+
+        for n in range(18, 97):
+            q = (np.arange(n) + 0.5) / n
+            assert np.array_equal(ndtri(q), stats.norm.ppf(q)), n

@@ -5,6 +5,7 @@ output is bit-identical at any worker count, and ``Engine(workers=1)``
 is the serial reference path.
 """
 
+import time
 from functools import partial
 
 import numpy as np
@@ -319,6 +320,42 @@ class TestEngineStreamAttack:
                 acquisition, 20, key=KEY, consumer_factory=factory,
                 checkpoints=[0, 10],
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_callback_time_on_campaign_span(
+        self, acquisition, workers, tmp_path
+    ):
+        pause = 0.02
+        calls = []
+
+        def on_checkpoint(count, acc):
+            calls.append(count)
+            time.sleep(pause)
+
+        engine = Engine(workers=workers, shard_size=16, cache=str(tmp_path))
+        factory = partial(CPAAttack, acquisition.default_n_samples())
+
+        def campaign(callback):
+            engine.stream_attack(
+                acquisition, 48, key=KEY, consumer_factory=factory, seed=3,
+                checkpoints=[20, 48], on_checkpoint=callback,
+            )
+            span = engine.last_metrics.span
+            assert span.name == "engine.stream"
+            return span.counter("checkpoint_callback_s"), span.seconds
+
+        # Cold: callbacks fire in the fold of streamed shards (3 shards).
+        spent, wall = campaign(on_checkpoint)
+        assert engine.last_metrics.n_shards == 3
+        assert 2 * pause <= spent <= wall
+        # Warm: the same campaign replays its two attack-state snapshots.
+        spent, wall = campaign(on_checkpoint)
+        assert engine.last_metrics.n_shards == 2
+        assert 2 * pause <= spent <= wall
+        assert calls == [20, 48, 20, 48]
+        # Without a callback the counter is present and zero.
+        campaign(None)
+        assert engine.last_metrics.span.counters["checkpoint_callback_s"] == 0.0
 
 
 class TestAcquisitionChunkValidation:

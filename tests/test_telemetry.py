@@ -374,3 +374,22 @@ def test_diff_different_configs_never_checks_digest(tmp_path):
     report = diff_runs(tmp_path / "a", tmp_path / "b")
     assert not report.config_match
     assert report.ok  # different campaigns: timing context only
+
+
+def test_summary_reports_checkpoint_callback_time(tiny_runs):
+    for label in ("w1", "w2"):
+        record = read_run(tiny_runs / label)
+        engine_spans = [
+            event for event in record.spans if event["name"] == "engine.stream"
+        ]
+        assert engine_spans
+        spent = sum(
+            event["counters"]["checkpoint_callback_s"] for event in engine_spans
+        )
+        assert spent > 0.0  # the fig5 key-rank evaluations
+        summary = summarize(record)
+        assert summary.checkpoint_callback_seconds == spent
+        assert any(
+            line.startswith("  checkpoints: ") and "in the parent" in line
+            for line in summary.lines()
+        )
