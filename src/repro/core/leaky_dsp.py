@@ -42,9 +42,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants, RngLike, make_rng
+from repro.core._ndtri import ndtri
 from repro.core.sensor import VoltageSensor
 from repro.errors import ConfigurationError
 from repro.fpga.device import DeviceModel, xc7a35t
@@ -147,7 +147,8 @@ class LeakyDSP(VoltageSensor):
         n = self.output_width
         sigma = self.constants.dsp_bit_spread * self.constants.dsp_block_delay
         quantiles = (np.arange(n) + 0.5) / n
-        ramp = sigma * ndtri(quantiles)  # the standard normal quantiles
+        # The standard normal quantiles.
+        ramp = sigma * np.array([ndtri(q) for q in quantiles.tolist()])
         jitter = rng.normal(0.0, PROCESS_JITTER_FRACTION * sigma, size=n)
         return ramp + jitter
 

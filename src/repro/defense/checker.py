@@ -41,11 +41,12 @@ the fast one on-chip, and the same bitstream passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.fpga.bitstream import Bitstream
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Carry chains at least this long that sample into FFs are flagged.
 CARRY_CHAIN_THRESHOLD = 8
@@ -162,6 +163,8 @@ class BitstreamChecker:
         return False
 
     def _graph(self, bitstream: Bitstream) -> "nx.DiGraph":
+        import networkx as nx
+
         g = nx.DiGraph()
         frames = self._cell_types(bitstream)
         for cell in frames:
@@ -174,6 +177,8 @@ class BitstreamChecker:
         return g
 
     def _check_comb_loops(self, bitstream: Bitstream) -> List[Finding]:
+        import networkx as nx
+
         frames = self._cell_types(bitstream)
         g = self._graph(bitstream)
         barriers = {c for c, f in frames.items() if self._is_barrier(f)}
@@ -194,6 +199,8 @@ class BitstreamChecker:
         return findings
 
     def _check_carry_samplers(self, bitstream: Bitstream) -> List[Finding]:
+        import networkx as nx
+
         frames = self._cell_types(bitstream)
         g = self._graph(bitstream)
         carries = {c for c, f in frames.items() if f.cell_type == "CARRY4"}

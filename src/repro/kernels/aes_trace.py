@@ -4,8 +4,8 @@ Two implementations of the same model pipeline (AES round states ->
 switching currents -> PDN low-pass -> sensor sampling):
 
 * :class:`ReferenceAcquisitionKernel` (``"reference"``) — the literal
-  pipeline: dense per-sample current matrix, sequential
-  ``scipy.signal.lfilter`` recurrence, ``numpy.interp`` moments lookup.
+  pipeline: dense per-sample current matrix, sequential low-pass
+  recurrence (:mod:`repro.pdn.lowpass`), ``numpy.interp`` moments lookup.
   Kept as the differential-testing oracle.
 * :class:`FusedAcquisitionKernel` (``"fused"``, the default) — the
   algebraically fused rewrite:

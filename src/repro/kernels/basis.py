@@ -1,8 +1,8 @@
 """Precomputed PDN step-response basis for piecewise-constant loads.
 
 The acquisition hot path used to low-pass filter a dense ``(m,
-n_samples)`` current matrix per chunk (`scipy.signal.lfilter`, a
-sequential recurrence along the sample axis).  But the PDN surrogate's
+n_samples)`` current matrix per chunk (:func:`repro.pdn.lowpass.lowpass`,
+a sequential recurrence along the sample axis).  But the PDN surrogate's
 filter is *linear and time-invariant*, and the AES current waveform is
 piecewise constant over exactly ``AES128.CYCLES_PER_BLOCK`` victim
 cycles:
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.errors import ConfigurationError
+from repro.pdn.lowpass import lowpass
 
 #: Cache of built bases.  A campaign touches a handful of
 #: configurations (one per AES frequency / trace length), so an
@@ -107,7 +107,7 @@ def step_response_basis(
 
     ``pole`` is ``exp(-dt / tau)`` — the same coefficient the reference
     :meth:`repro.pdn.coupling.CouplingModel.filter_currents` derives —
-    and the rows are filtered with the identical ``scipy.signal.lfilter``
+    and the rows are filtered with the same :func:`repro.pdn.lowpass.lowpass`
     recurrence (zero initial state), so the basis is the reference
     filter's exact zero-state response to each cycle window.
     """
@@ -129,9 +129,7 @@ def step_response_basis(
         return cached
 
     boxcars = unit_boxcars(n_cycles, samples_per_cycle, n_samples, lead_in_cycles)
-    b = [1.0 - pole]
-    den = [1.0, -pole]
-    matrix = signal.lfilter(b, den, boxcars, axis=-1)
+    matrix = lowpass(boxcars, pole)
     matrix.setflags(write=False)
     basis = StepResponseBasis(
         n_cycles=n_cycles,

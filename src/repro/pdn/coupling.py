@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
 
 from repro.config import DEFAULT_CONSTANTS, PhysicalConstants
 from repro.errors import ConfigurationError
 from repro.fpga.device import DeviceModel
+from repro.pdn.lowpass import lowpass, steady_state
 from repro.pdn.mesh import PDNMesh
 
 #: Per-device, per-clock-region supply-strength factors.  Values < 1
@@ -181,34 +181,31 @@ class CouplingModel:
     def filter_design(self, dt: float) -> Tuple[List[float], List[float], np.ndarray]:
         """The first-order low-pass design ``(b, a, zi)`` for a sample
         period, cached per ``dt`` (the coefficients and the unit
-        steady-state ``lfilter_zi`` are pure functions of ``dt`` and the
-        PDN time constant, but recomputing them per chunk is measurable
-        at campaign scale)."""
+        steady-state initial condition are pure functions of ``dt`` and
+        the PDN time constant, but recomputing them per chunk is
+        measurable at campaign scale).  ``zi`` equals
+        ``scipy.signal.lfilter_zi(b, a)`` bit for bit."""
         dt = float(dt)
         design = self._filter_designs.get(dt)
         if design is None:
             pole = float(np.exp(-dt / self.constants.pdn_tau))
             b = [1.0 - pole]
             den = [1.0, -pole]
-            zi = signal.lfilter_zi(b, den)
+            zi = np.array([steady_state(pole)])
             design = (b, den, zi)
             self._filter_designs[dt] = design
         return design
 
     def filter_currents(self, currents: np.ndarray, dt: float) -> np.ndarray:
         """First-order low-pass filter with the PDN time constant,
-        applied along the last axis.
+        applied along the last axis (:func:`repro.pdn.lowpass.lowpass`).
 
         The filter starts in steady state at the first sample's value so
         that constant inputs pass through unchanged.
         """
         currents = np.asarray(currents, dtype=float)
-        b, den, zi = self.filter_design(dt)
-        x0 = currents[..., :1]
-        filtered, _ = signal.lfilter(
-            b, den, currents, axis=-1, zi=zi * x0
-        )
-        return filtered
+        _, den, zi = self.filter_design(dt)  # den == [1.0, -pole]
+        return lowpass(currents, -den[1], zi=zi * currents[..., :1])
 
     def voltage_trace(
         self,

@@ -23,13 +23,14 @@ generation never touches it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class PDNMesh:
@@ -98,7 +99,12 @@ class PDNMesh:
         """Total node count."""
         return self.nx * self.ny
 
-    def _build_conductance(self) -> sp.csc_matrix:
+    def _build_conductance(self) -> "sp.csc_matrix":
+        # scipy.sparse is imported here, not at module load: campaigns
+        # import this module (through the coupling surrogate) but never
+        # build a mesh.
+        import scipy.sparse as sp
+
         n = self.num_nodes
         g_grid = 1.0 / self.r_grid
         rows, cols, vals = [], [], []
@@ -156,6 +162,8 @@ class PDNMesh:
                 raise ConfigurationError("load currents must be non-negative")
             rhs[self.node_index(x, y)] -= current
         if self._lu is None:
+            import scipy.sparse.linalg as spla
+
             self._lu = spla.splu(self._g)
         v = self._lu.solve(rhs)
         return v.reshape(self.ny, self.nx)
@@ -192,6 +200,9 @@ class PDNMesh:
                 "load_currents must have one row per load node "
                 f"({load_currents.shape[0]} rows for {len(load_nodes)} nodes)"
             )
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         n = self.num_nodes
         n_steps = load_currents.shape[1]
         c_over_dt = self.c_node / dt

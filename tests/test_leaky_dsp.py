@@ -159,8 +159,9 @@ class TestPlacementIntegration:
 
 
 class TestBitOffsets:
-    """The settle-time ramp uses ``scipy.special.ndtri`` (whose import
-    does not load ``scipy.stats``); it must equal the
+    """The settle-time ramp uses the in-tree Cephes ``ndtri`` port
+    (``repro.core._ndtri``, which keeps ``scipy.special`` and
+    ``scipy.stats`` out of process start); it must equal the
     ``scipy.stats.norm.ppf`` ramp it replaced bit for bit."""
 
     def test_build_bit_offsets_unchanged(self, sensor):
